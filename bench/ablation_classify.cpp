@@ -26,24 +26,24 @@ int main()
     for (const uint64_t limit : {100ull, 1'000ull, 10'000ull, 100'000ull,
                                  1'000'000ull}) {
         auto net = gen_md5();
-        mc_database db;
-        classification_cache cache{{.iteration_limit = limit}};
+        pass_context ctx{{.classification_iteration_limit = limit}};
         rewrite_params params;
         params.classification_iteration_limit = limit;
-        const auto stats = mc_rewrite_round(net, db, cache, params);
+        const auto stats = mc_rewrite_round(net, ctx, params);
         std::printf("%-8s %10llu | %10u %12llu %10.2f %10llu\n", "md5",
                     static_cast<unsigned long long>(limit), stats.ands_after,
                     static_cast<unsigned long long>(stats.classify_failures),
                     stats.seconds,
-                    static_cast<unsigned long long>(cache.hits()));
+                    static_cast<unsigned long long>(
+                        ctx.classification().hits()));
     }
 
     std::printf("\ncache effect (md5, one round, limit 100k):\n");
     {
         auto net = gen_md5();
-        mc_database db;
-        classification_cache cache;
-        const auto stats = mc_rewrite_round(net, db, cache);
+        pass_context ctx;
+        const auto stats = mc_rewrite_round(net, ctx);
+        const auto& cache = ctx.classification();
         std::printf("  with cache:   %.2fs (%zu entries, %llu hits)\n",
                     stats.seconds, cache.size(),
                     static_cast<unsigned long long>(cache.hits()));

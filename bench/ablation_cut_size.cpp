@@ -30,13 +30,12 @@ int main()
         for (const uint32_t k : {2u, 3u, 4u, 5u, 6u}) {
             auto net = s.make();
             const auto initial = net.num_ands();
-            mc_database db;
-            classification_cache cache;
+            pass_context ctx;
             rewrite_params params;
             params.cut_size = k;
-            const auto conv = mc_rewrite(net, db, cache, params, 6);
+            const auto conv = mc_rewrite_pass{params, 6}.run(net, ctx);
             std::printf("%-14s %4u | %10u %10u %10.2f\n", s.name, k, initial,
-                        net.num_ands(), conv.total_seconds());
+                        net.num_ands(), conv.seconds);
         }
         std::printf("\n");
     }

@@ -1,7 +1,7 @@
 // Shared reporting helpers for the table-regeneration harnesses.
 #pragma once
 
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "xag/cleanup.h"
 #include "xag/verify.h"
 #include "xag/xag.h"
@@ -48,9 +48,9 @@ inline int improvement(uint32_t before, uint32_t after)
 }
 
 /// Run the paper's protocol on one circuit: one round, then continue to
-/// convergence; verify the result functionally against the input.
-inline row run_protocol(std::string name, xag network, mc_database& db,
-                        classification_cache& cache,
+/// convergence; verify the result functionally against the input.  `ctx`
+/// carries the database and classification cache across circuits.
+inline row run_protocol(std::string name, xag network, pass_context& ctx,
                         const rewrite_params& params = {},
                         uint32_t max_rounds = 20)
 {
@@ -63,16 +63,17 @@ inline row run_protocol(std::string name, xag network, mc_database& db,
 
     const auto golden = cleanup(network);
 
-    const auto one = mc_rewrite_round(network, db, cache, params);
+    const auto one = mc_rewrite_round(network, ctx, params);
     r.one_round_and = one.ands_after;
     r.one_round_xor = one.xors_after;
     r.one_round_seconds = one.seconds;
     r.rounds = 1;
 
-    auto conv = mc_rewrite(network, db, cache, params, max_rounds - 1);
+    const auto conv =
+        mc_rewrite_pass{params, max_rounds - 1}.run(network, ctx);
     r.final_and = network.num_ands();
     r.final_xor = network.num_xors();
-    r.total_seconds = one.seconds + conv.total_seconds();
+    r.total_seconds = one.seconds + conv.seconds;
     r.rounds += static_cast<uint32_t>(conv.rounds.size());
 
     r.verified = random_simulation_equal(cleanup(network), golden, 32);

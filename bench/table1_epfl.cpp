@@ -19,9 +19,9 @@ using namespace mcx::bench;
 
 namespace {
 
-xag baseline(xag net, size_database& sdb)
+xag baseline(xag net, pass_context& ctx)
 {
-    size_rewrite(net, sdb, {}, 6);
+    size_rewrite_pass{{}, 6}.run(net, ctx);
     return cleanup(net);
 }
 
@@ -35,9 +35,9 @@ int main()
     std::printf("paper column: one-round%% / converged%% AND improvement "
                 "reported in DAC'19 Table 1\n");
 
-    mc_database db;
-    classification_cache cache;
-    size_database sdb;
+    pass_context ctx;
+    const auto& db = ctx.mc_db();
+    const auto& cache = ctx.classification();
 
     struct spec {
         const char* name;
@@ -81,8 +81,8 @@ int main()
         print_header(title);
         std::vector<row> rows;
         for (auto& s : specs) {
-            auto initial = baseline(std::move(s.circuit), sdb);
-            auto r = run_protocol(s.name, std::move(initial), db, cache);
+            auto initial = baseline(std::move(s.circuit), ctx);
+            auto r = run_protocol(s.name, std::move(initial), ctx);
             r.paper_improvement_one = s.paper_one;
             r.paper_improvement_conv = s.paper_conv;
             print_row(r);

@@ -23,8 +23,9 @@ int main()
     std::printf("mcx — Table 2 (MPC and FHE benchmarks), %s\n",
                 full ? "full variants" : "reduced variants");
 
-    mc_database db;
-    classification_cache cache;
+    pass_context ctx;
+    const auto& db = ctx.mc_db();
+    const auto& cache = ctx.classification();
 
     struct spec {
         const char* name;
@@ -59,7 +60,7 @@ int main()
     std::vector<row> rows;
     const uint32_t max_rounds = full ? 16 : 8;
     for (auto& s : specs) {
-        auto r = run_protocol(s.name, std::move(s.circuit), db, cache, {},
+        auto r = run_protocol(s.name, std::move(s.circuit), ctx, {},
                               max_rounds);
         r.paper_improvement_one = s.paper_one;
         r.paper_improvement_conv = s.paper_conv;

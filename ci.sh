@@ -3,11 +3,12 @@
 # run, a tools/mcx flow smoke test, CLI usage checks, and a documentation
 # link check.
 #
-# bench_micro_core exits non-zero if the word-parallel fast paths regress
-# below their speedup gates (npn >= 5x, cut enumeration >= 2x, classify
-# >= 4x, batched rewrite round >= 1x vs. the per-cut path) and emits
-# BENCH_micro_core.json with per-stage ns/op, cache hit rates, and the
-# A/B numbers (schema: docs/artifacts.md).
+# bench_micro_core exits non-zero if the fast paths regress below their
+# speedup gates against the oracles (npn >= 5x, cut enumeration >= 2x,
+# classify >= 4x, batched cone simulation >= 1x vs. per-cut cone_function,
+# SAT core >= 2x vs. the legacy solver) and emits BENCH_micro_core.json
+# with per-stage ns/op, cache hit rates, and the A/B numbers (schema:
+# docs/artifacts.md).  Its key set is the same on every host.
 #
 # The flow smoke test runs `mcx --flow mc+xor` on one generator circuit and
 # on one BENCH file (produced by the tool itself, so the BENCH parser is on
@@ -20,6 +21,14 @@ cd "$(dirname "$0")"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+# The oracles (legacy SAT solver, brute-force NPN canonizer) live in the
+# mcx_oracles library that only tests and bench_micro_core link; none of
+# their symbols may leak back into the production library.
+if nm -C build/libmcx.a | grep -E 'legacy_solver|npn_canonize_baseline'; then
+    echo "ci.sh: oracle symbols found in build/libmcx.a" >&2
+    exit 1
+fi
 
 # The committed BENCH_micro_core.json is reference data; regenerating it
 # must not change the schema (a bench that grows or renames keys has to
@@ -78,26 +87,10 @@ grep -q '"sat_conflicts"' FLOW_smoke_sat.json || {
     exit 1
 }
 
-# SAT-engine smoke (docs/sat.md): the retained legacy CDCL core must
-# reach the same verified AND count as the modern default through the
-# whole flow (both exit 0 only when equivalence holds; the synthesized
-# structures may differ — exact-synthesis models are not unique — so the
-# comparison is on the optimality claim, not bytes).  The report records
-# which engine ran.  The cold whole-network miter — the verify path that
-# exercises the modern core's preprocessor — must be byte-invisible next
-# to the default simulation check.
-./build/tools/mcx --flow mc+xor --sat-engine legacy gen:adder:16 \
-    -o build/adder16_legacy.bench --report FLOW_smoke_satlegacy.json
-python3 - FLOW_smoke_gen.json FLOW_smoke_satlegacy.json <<'PY'
-import json, sys
-modern, legacy = (json.load(open(p)) for p in sys.argv[1:3])
-assert modern["sat_engine"] == "modern", modern["sat_engine"]
-assert legacy["sat_engine"] == "legacy", legacy["sat_engine"]
-for rep in (modern, legacy):
-    assert rep["verified"], f'{rep["sat_engine"]} flow failed verification'
-ma, la = modern["after"]["ands"], legacy["after"]["ands"]
-assert ma == la, f"engine-dependent AND count: modern {ma} vs legacy {la}"
-PY
+# The cold whole-network miter — the verify path that exercises the SAT
+# core's preprocessor — must be byte-invisible next to the default
+# simulation check.  (The legacy-solver comparison is a ctest:
+# exact_test's exact_mc.engine_identity_on_flow_representatives.)
 ./build/tools/mcx --flow mc+xor --verify sat-cold gen:adder:16 \
     -o build/adder16_satcold.bench
 cmp build/adder16_opt.bench build/adder16_satcold.bench || {
@@ -248,9 +241,8 @@ fi
 # usage dump.
 help_text=$(./build/tools/mcx --help)
 for flag in --flow --iterate --rounds --cut-size --cut-limit --zero-gain \
-            --verify --report --seed --no-batch --classify-baseline \
+            --verify --report --seed \
             --incremental-cuts --incremental-eval --sat-commits \
-            --sat-engine \
             --deadline --pass-deadline --on-limit \
             --trace --progress \
             --threads --bristol --output --list-gens --list-flows; do
@@ -267,6 +259,18 @@ grep -q "unknown option" <<<"$unknown_msg" || {
     echo "ci.sh: mcx unknown-flag message regressed" >&2
     exit 1
 }
+# The oracle-only A/B switches are gone from the tool: each must now be
+# rejected as an unknown flag.
+for flag in --no-batch --classify-baseline --sat-engine; do
+    if removed_msg=$(./build/tools/mcx "$flag" gen:adder:4 2>&1); then
+        echo "ci.sh: mcx accepted the removed flag $flag" >&2
+        exit 1
+    fi
+    grep -q "unknown option" <<<"$removed_msg" || {
+        echo "ci.sh: mcx did not reject $flag as an unknown option" >&2
+        exit 1
+    }
+done
 
 # Documentation checks: every file under docs/ is reachable from
 # README.md, and no markdown file references a relative path that does
@@ -321,8 +325,9 @@ cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
 # Address+UB sanitizer job over the SAT core: the arena with its
 # relocation GC, the binary-watcher encoding, and the preprocessor's
 # clause surgery are exactly the kind of raw-index pointer arithmetic
-# ASan exists for.  The full sat_test suite — both engines, the
-# differential fuzz, preprocessing units — runs under ASan+UBSan.
+# ASan exists for.  The full sat_test suite — the production core, the
+# differential fuzz against the legacy solver from mcx_oracles,
+# preprocessing units — runs under ASan+UBSan.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -331,6 +336,6 @@ cmake --build build-asan -j"$(nproc)" --target sat_test
 
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \
-     "FLOW_smoke_sat.json, FLOW_smoke_satlegacy.json," \
+     "FLOW_smoke_sat.json," \
      "FLOW_smoke_deadline.json, FLOW_smoke_sigint.json," \
      "FLOW_smoke_fault.json, FLOW_smoke_progress.json)"

@@ -2,7 +2,7 @@
 // (the multiplicative complexity), and inspect the result.
 //
 //   $ ./examples/quickstart
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
 #include "xag/simulate.h"
@@ -33,14 +33,16 @@ int main()
     std::printf("before: %u AND, %u XOR, multiplicative depth %u\n",
                 net.num_ands(), net.num_xors(), and_depth(net));
 
-    // One call minimizes the number of AND gates (paper Algorithm 1,
-    // repeated until convergence).
-    const auto result = mc_rewrite(net);
+    // One pass minimizes the number of AND gates (paper Algorithm 1,
+    // repeated until convergence).  The context holds the database and
+    // caches; reuse it to keep them warm across networks.
+    pass_context ctx;
+    const auto result = mc_rewrite_pass{}.run(net, ctx);
 
     std::printf("after:  %u AND, %u XOR, multiplicative depth %u "
                 "(%zu rounds, %.2fs)\n",
                 net.num_ands(), net.num_xors(), and_depth(net),
-                result.rounds.size(), result.total_seconds());
+                result.rounds.size(), result.seconds);
     std::printf("the 4-bit adder reaches the known optimum of 4 AND gates: "
                 "%s\n",
                 net.num_ands() == 4 ? "yes" : "no");

@@ -1,4 +1,4 @@
-#include "sat/legacy_solver.h"
+#include "oracles/legacy_solver.h"
 
 #include <algorithm>
 #include <cmath>
@@ -423,8 +423,8 @@ solve_result legacy_solver::solve(std::span<const literal> assumptions,
                            uint64_t conflict_budget,
                            const cancellation_token& token)
 {
-    // Fault injection (fault_site::sat_budget) and the sat.* metrics
-    // observer fire in the sat::solver facade, covering both engines.
+    // No fault site and no sat.* metrics here: those belong to the
+    // production sat::solver, and this oracle only runs in tests/benches.
     failed_assumptions_.clear();
     backtrack(0);
     if (unsat_)

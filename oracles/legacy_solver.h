@@ -1,14 +1,15 @@
 // The original self-contained CDCL SAT solver, retained verbatim as the
-// differential oracle behind `sat_params::engine == sat_engine::legacy`
-// (`mcx --sat-engine legacy`): two-literal watching, VSIDS decision
-// heuristic with phase saving, first-UIP conflict learning, Luby restarts,
-// and activity-based learnt-clause reduction over `std::vector<clause>`
-// storage.
+// differential oracle of the production core (src/sat/solver.h): two-literal
+// watching, VSIDS decision heuristic with phase saving, first-UIP conflict
+// learning, Luby restarts, and activity-based learnt-clause reduction over
+// `std::vector<clause>` storage.
 //
-// The modern arena-based core (src/sat/modern_solver.h) must stay
-// verdict-identical to this engine on every instance; the randomized
-// differential fuzz in tests/sat_test.cpp enforces that.  Do not "improve"
-// this file — its value is being the unchanged reference.
+// Part of the mcx_oracles library, which only tests and bench_micro_core
+// link; nothing in libmcx can reach it.  The production core must stay
+// verdict-identical to this solver on every instance — the randomized
+// differentials in tests/sat_test.cpp and the exact-MC engine-identity test
+// in tests/exact_test.cpp enforce that.  Do not "improve" this file: its
+// value is being the unchanged reference.
 #pragma once
 
 #include "core/budget.h"

@@ -6,13 +6,11 @@
 #include "obs/trace.h"
 #include "tt/operations.h"
 #include "xag/cleanup.h"
-#include "xag/simulate.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 namespace mcx {
@@ -116,41 +114,9 @@ signal splice_npn(xag& dst, const npn_transform& t,
     return out ^ t.output_negation;
 }
 
-/// Walk the candidate cone down to `leaves`; verify the computed function
-/// and that `forbidden` (the rewrite root) is not part of the cone.  The
-/// seed-faithful per-cone implementation, used when batched_simulation is
-/// off (A/B reference).
-bool verify_candidate_legacy(const xag& net, signal candidate,
-                             std::span<const uint32_t> leaves,
-                             const truth_table& expected, uint32_t forbidden)
-{
-    // Containment check by DFS.
-    std::vector<uint32_t> stack{candidate.node()};
-    std::unordered_map<uint32_t, uint8_t> visited;
-    for (const auto l : leaves)
-        visited.emplace(l, 1);
-    while (!stack.empty()) {
-        const auto n = stack.back();
-        stack.pop_back();
-        if (!visited.emplace(n, 1).second)
-            continue;
-        if (n == forbidden)
-            return false;
-        if (!net.is_gate(n))
-            continue;
-        stack.push_back(net.fanin0(n).node());
-        stack.push_back(net.fanin1(n).node());
-    }
-    try {
-        const auto tt = cone_function(net, candidate.node(), leaves);
-        return (candidate.complemented() ? ~tt : tt) == expected;
-    } catch (const std::invalid_argument&) {
-        return false;
-    }
-}
-
-/// Batched-path verification: one epoch-stamped traversal computes the
-/// candidate's function word and performs the containment check at once.
+/// Candidate verification: one epoch-stamped traversal computes the
+/// candidate's function word and checks that the cone stays inside
+/// `leaves` and does not contain `forbidden` (the rewrite root).
 bool verify_candidate(const xag& net, cone_simulator& sim, signal candidate,
                       std::span<const uint32_t> leaves,
                       const truth_table& expected, uint32_t forbidden)
@@ -182,12 +148,12 @@ std::optional<signal> trivial_replacement(xag& net, const truth_table& f,
 /// Phases 1-2 of a node visit, shared verbatim by both engines (the
 /// determinism story depends on them scoring identical cuts): resolve the
 /// node's enumerated cuts to live, sorted, deduplicated leaf sets, then
-/// evaluate every cut function — batched union-cone traversal or the
-/// per-cut legacy path.  Returns the number of active cuts; leaf sets are
-/// in pool[0..count), function words in `words`, per-cut validity in
-/// `valid`.  `cuts_evaluated` is bumped once per resolved cut.
+/// evaluate every cut function in batched union-cone traversals.  Returns
+/// the number of active cuts; leaf sets are in pool[0..count), function
+/// words in `words`, per-cut validity in `valid`.  `cuts_evaluated` is
+/// bumped once per resolved cut.
 size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
-                            uint32_t n, cone_simulator& sim, bool batched,
+                            uint32_t n, cone_simulator& sim,
                             std::vector<cone_simulator::leaf_set>& pool,
                             std::vector<uint64_t>& words,
                             std::vector<uint64_t>& chunk_words,
@@ -231,26 +197,15 @@ size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
 
     words.assign(count, 0);
     valid.assign(count, 0);
-    if (batched) {
-        // Chunked so arbitrarily large per-node cut counts work (the
-        // simulator evaluates up to 64 lanes per call).
-        for (size_t base = 0; base < count; base += 64) {
-            const auto chunk = std::min<size_t>(64, count - base);
-            const auto mask = sim.simulate_cuts(
-                net, n, active.subspan(base, chunk), chunk_words);
-            for (size_t j = 0; j < chunk; ++j) {
-                words[base + j] = chunk_words[j];
-                valid[base + j] = static_cast<uint8_t>((mask >> j) & 1);
-            }
-        }
-    } else {
-        for (size_t i = 0; i < count; ++i) {
-            try {
-                words[i] = cone_function(net, n, active[i]).word();
-                valid[i] = 1;
-            } catch (const std::invalid_argument&) {
-                // no longer a cut of n
-            }
+    // Chunked so arbitrarily large per-node cut counts work (the simulator
+    // evaluates up to 64 lanes per call).
+    for (size_t base = 0; base < count; base += 64) {
+        const auto chunk = std::min<size_t>(64, count - base);
+        const auto mask = sim.simulate_cuts(
+            net, n, active.subspan(base, chunk), chunk_words);
+        for (size_t j = 0; j < chunk; ++j) {
+            words[base + j] = chunk_words[j];
+            valid[base + j] = static_cast<uint8_t>((mask >> j) & 1);
         }
     }
     return count;
@@ -276,7 +231,7 @@ std::optional<scored_candidate> build_scored_candidate(
     xag& net, cone_simulator& sim, Strategy& strat, Make&& make,
     const truth_table& f, std::span<const signal> leaf_sigs,
     std::span<const uint32_t> support_nodes,
-    std::span<const uint32_t> mffc_leaves, uint32_t n, bool batched,
+    std::span<const uint32_t> mffc_leaves, uint32_t n,
     uint64_t* candidates_built)
 {
     const auto cost_before = strat.created_cost();
@@ -290,11 +245,7 @@ std::optional<scored_candidate> build_scored_candidate(
     if (candidates_built)
         ++*candidates_built;
     net.take_ref(*candidate);
-    const bool ok =
-        batched ? verify_candidate(net, sim, *candidate, support_nodes, f, n)
-                : verify_candidate_legacy(net, *candidate, support_nodes, f,
-                                          n);
-    if (!ok) {
+    if (!verify_candidate(net, sim, *candidate, support_nodes, f, n)) {
         net.release_ref(net.resolve(*candidate));
         return std::nullopt;
     }
@@ -324,7 +275,7 @@ struct round_env {
 /// commit — is common.
 template <typename Strategy>
 void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
-                      bool allow_zero_gain, bool batched, Strategy& strat,
+                      bool allow_zero_gain, Strategy& strat,
                       const round_env& env)
 {
     const obs::trace::trace_span loop_span{"phase.rewrite-loop"};
@@ -332,7 +283,7 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
     auto& sim = ctx.simulator();
 
     std::vector<cone_simulator::leaf_set> resolved; // leaf sets, per cut
-    std::vector<uint64_t> words;                    // batched function words
+    std::vector<uint64_t> words;                    // cut function words
     std::vector<uint64_t> chunk_words;
     std::vector<uint8_t> valid;                     // per-cut validity
     std::vector<signal> leaf_sigs;
@@ -414,8 +365,8 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
         // the functions up front is exactly equivalent to the per-cut
         // re-simulation it replaces.
         const auto num_resolved = resolve_and_simulate(
-            net, cuts[n], n, sim, batched, resolved, words, chunk_words,
-            valid, stats.cuts_evaluated);
+            net, cuts[n], n, sim, resolved, words, chunk_words, valid,
+            stats.cuts_evaluated);
         if (num_resolved == 0) {
             if (cache != nullptr)
                 cache->no_improvement[n] = 1;
@@ -449,7 +400,7 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
                 [&](const truth_table& f, std::span<const signal> ls) {
                     return strat.make_candidate(f, ls);
                 },
-                view.function, leaf_sigs, leaf_nodes, cut_leaves, n, batched,
+                view.function, leaf_sigs, leaf_nodes, cut_leaves, n,
                 &stats.candidates_built);
             if (!scored)
                 continue;
@@ -551,15 +502,15 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
 
 template <typename Strategy>
 void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
-                   pass_scratch& sc, bool allow_zero_gain, bool batched,
-                   uint32_t n, eval_winner& winner)
+                   pass_scratch& sc, bool allow_zero_gain, uint32_t n,
+                   eval_winner& winner)
 {
     // ---- phases 1-2, shared with the in-place loop (resolution is a
     // formality here — the network is frozen during the phase — but the
     // filtering must stay identical so both engines score the same cuts).
     const auto num_resolved = resolve_and_simulate(
-        net, cuts[n], n, sc.simulator, batched, sc.resolved, sc.words,
-        sc.chunk_words, sc.valid, sc.cuts_evaluated);
+        net, cuts[n], n, sc.simulator, sc.resolved, sc.words, sc.chunk_words,
+        sc.valid, sc.cuts_evaluated);
     if (num_resolved == 0)
         return;
     const std::span<const cone_simulator::leaf_set> active{
@@ -602,9 +553,8 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
 
 template <typename Strategy>
 void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
-                         bool allow_zero_gain, bool batched,
-                         uint32_t num_threads, Strategy& strat,
-                         const round_env& env)
+                         bool allow_zero_gain, uint32_t num_threads,
+                         Strategy& strat, const round_env& env)
 {
     // Gate nodes in topological order: the evaluate phase's index space
     // and the commit phase's application order.
@@ -658,8 +608,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
                 return; // leave the winner invalid; the round is discarded
             const auto idx = fresh[i];
             evaluate_node(net, cuts, strat, ctx.scratch(worker),
-                          allow_zero_gain, batched, nodes[idx],
-                          winners[idx]);
+                          allow_zero_gain, nodes[idx], winners[idx]);
             winners[idx].worker = worker;
         });
     }
@@ -757,8 +706,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             [&](const truth_table& f, std::span<const signal> ls) {
                 return strat.make_candidate_cached(f, ls, shard);
             },
-            w.function, leaf_sigs, support_nodes, full_leaves, n, batched,
-            nullptr);
+            w.function, leaf_sigs, support_nodes, full_leaves, n, nullptr);
         if (!scored)
             continue;
         bool commit = scored->sig.node() != n &&
@@ -799,8 +747,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
 template <typename StrategyFactory>
 round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                           uint32_t cut_limit, bool allow_zero_gain,
-                          bool batched, uint32_t num_threads,
-                          bool incremental_cuts, bool incremental_evaluate,
+                          uint32_t num_threads, bool incremental_cuts,
+                          bool incremental_evaluate,
                           bool sat_verify, StrategyFactory&& make_strategy)
 {
     const auto start = std::chrono::steady_clock::now();
@@ -865,7 +813,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                 cache.net == &network && cache.cut_size == cut_size &&
                 cache.cut_limit == cut_limit &&
                 cache.allow_zero_gain == allow_zero_gain &&
-                cache.batched == batched &&
                 cache.strategy == strategy_type::kind &&
                 cache.engine == engine &&
                 maint.last_refresh_incremental() &&
@@ -878,7 +825,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                 cache.cut_size = cut_size;
                 cache.cut_limit = cut_limit;
                 cache.allow_zero_gain = allow_zero_gain;
-                cache.batched = batched;
                 cache.strategy = strategy_type::kind;
                 cache.engine = engine;
             }
@@ -886,10 +832,10 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
 
         if (num_threads >= 1)
             run_two_phase_round(network, ctx, stats, allow_zero_gain,
-                                batched, num_threads, strat, env);
+                                num_threads, strat, env);
         else
-            run_rewrite_loop(network, ctx, stats, allow_zero_gain, batched,
-                             strat, env);
+            run_rewrite_loop(network, ctx, stats, allow_zero_gain, strat,
+                             env);
 
         if (env.cache != nullptr)
             env.cache->serial = maint.refresh_serial();
@@ -1077,20 +1023,20 @@ struct size_strategy {
 };
 
 /// The ONE convergence driver: repeat `round` until the cost (AND count or
-/// gate count) stops improving, or `max_rounds`.
+/// gate count) stops improving, or `max_rounds`; fills the rounds,
+/// converged and status fields of `ps`.
 template <typename Round>
-convergence_stats run_until_convergence(xag& network, Round&& round,
-                                        uint32_t max_rounds, bool count_ands)
+void run_until_convergence(xag& network, Round&& round, uint32_t max_rounds,
+                           bool count_ands, pass_stats& ps)
 {
-    convergence_stats result;
     for (uint32_t i = 0; i < max_rounds; ++i) {
         obs::set_progress_round(i + 1);
         const auto stats = round(network);
-        result.rounds.push_back(stats);
+        ps.rounds.push_back(stats);
         if (stats.status != outcome::ok) {
             // The round was cut short — its counters do not mean "no more
             // gains", so this is a stop, not convergence.
-            result.status = stats.status;
+            ps.status = stats.status;
             break;
         }
         const auto before = count_ands
@@ -1099,11 +1045,10 @@ convergence_stats run_until_convergence(xag& network, Round&& round,
         const auto after = count_ands ? stats.ands_after
                                       : stats.ands_after + stats.xors_after;
         if (after >= before) {
-            result.converged = true;
+            ps.converged = true;
             break;
         }
     }
-    return result;
 }
 
 pass_stats finish_pass(pass_context& ctx, pass_stats ps, const xag& network,
@@ -1125,8 +1070,7 @@ round_stats mc_rewrite_round(xag& network, pass_context& ctx,
                              const rewrite_params& params)
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.batched_simulation,
-                         params.num_threads, params.incremental_cuts,
+                         params.allow_zero_gain, params.num_threads, params.incremental_cuts,
                          params.incremental_evaluate,
                          params.sat_verify_commits,
                          [&](round_stats& stats) {
@@ -1140,8 +1084,7 @@ round_stats size_rewrite_round(xag& network, pass_context& ctx,
                                const size_rewrite_params& params)
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.batched_simulation,
-                         params.num_threads, params.incremental_cuts,
+                         params.allow_zero_gain, params.num_threads, params.incremental_cuts,
                          params.incremental_evaluate,
                          params.sat_verify_commits,
                          [&](round_stats& stats) {
@@ -1163,13 +1106,10 @@ pass_stats mc_rewrite_pass::run(xag& network, pass_context& ctx) const
     auto& db = ctx.mc_db();
     const auto db_hits0 = db.hits();
     const auto db_misses0 = db.misses();
-    const auto conv = run_until_convergence(
+    run_until_convergence(
         network,
         [&](xag& net) { return mc_rewrite_round(net, ctx, params_); },
-        max_rounds_, true);
-    ps.rounds = conv.rounds;
-    ps.converged = conv.converged;
-    ps.status = conv.status;
+        max_rounds_, true, ps);
     ps.db_hits = db.hits() - db_hits0;
     ps.db_misses = db.misses() - db_misses0;
     ps.db_entries = db.size();
@@ -1188,13 +1128,10 @@ pass_stats size_rewrite_pass::run(xag& network, pass_context& ctx) const
     auto& db = ctx.size_db();
     const auto db_hits0 = db.hits();
     const auto db_misses0 = db.misses();
-    const auto conv = run_until_convergence(
+    run_until_convergence(
         network,
         [&](xag& net) { return size_rewrite_round(net, ctx, params_); },
-        max_rounds_, false);
-    ps.rounds = conv.rounds;
-    ps.converged = conv.converged;
-    ps.status = conv.status;
+        max_rounds_, false, ps);
     ps.db_hits = db.hits() - db_hits0;
     ps.db_misses = db.misses() - db_misses0;
     ps.db_entries = db.size();

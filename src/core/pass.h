@@ -59,10 +59,6 @@ struct rewrite_params {
     /// identical results — see classification_params::word_parallel).
     bool classification_word_parallel = true;
     bool allow_zero_gain = false;
-    /// Batch all of a node's cut functions into one union-cone traversal
-    /// (cone_simulator).  The per-cut cone_function path is retained for
-    /// A/B measurement (bench/micro_core) — both produce identical results.
-    bool batched_simulation = true;
     /// 0 = the classic sequential in-place loop (default).  >= 1 = the
     /// deterministic two-phase engine on that many workers; results are
     /// bit-identical for every value >= 1 (docs/parallel.md), so
@@ -96,7 +92,6 @@ struct size_rewrite_params {
     uint32_t cut_size = 4; ///< NPN-4 database
     uint32_t cut_limit = 12;
     bool allow_zero_gain = false;
-    bool batched_simulation = true;  ///< see rewrite_params
     uint32_t num_threads = 0;        ///< see rewrite_params
     bool incremental_cuts = true;    ///< see rewrite_params
     bool incremental_evaluate = true; ///< see rewrite_params
@@ -149,28 +144,6 @@ struct round_stats {
         return total == 0 ? 0.0
                           : static_cast<double>(canon_cache_hits) /
                                 static_cast<double>(total);
-    }
-};
-
-struct convergence_stats {
-    std::vector<round_stats> rounds;
-    bool converged = false; ///< a round produced no improvement
-    outcome status = outcome::ok; ///< first non-ok round status, if any
-
-    uint32_t ands_before() const
-    {
-        return rounds.empty() ? 0 : rounds.front().ands_before;
-    }
-    uint32_t ands_after() const
-    {
-        return rounds.empty() ? 0 : rounds.back().ands_after;
-    }
-    double total_seconds() const
-    {
-        double t = 0;
-        for (const auto& r : rounds)
-            t += r.seconds;
-        return t;
     }
 };
 
@@ -237,7 +210,6 @@ struct evaluate_cache {
     uint32_t cut_size = 0;
     uint32_t cut_limit = 0;
     bool allow_zero_gain = false;
-    bool batched = false;
     uint8_t strategy = 0; ///< 0 = mc, 1 = size
     uint8_t engine = 0;   ///< 0 = sequential in-place, 1 = two-phase
     /// Two-phase engine: cached winner per node id.

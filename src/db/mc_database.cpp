@@ -97,8 +97,7 @@ const mc_database::entry& mc_database::lookup_or_build(
                 const auto exact = exact_mc_synthesis(
                     rep, {.max_ands = params_.exact_max_ands,
                           .conflict_budget = params_.exact_conflict_budget,
-                          .token = token,
-                          .engine = params_.engine});
+                          .token = token});
                 if (exact.success) {
                     e.circuit = exact.circuit;
                     e.num_ands = exact.num_ands;

@@ -22,8 +22,7 @@ const size_database::entry& size_database::lookup_or_build(
             const auto exact = exact_size_synthesis(
                 rep, {.max_gates = params_.exact_max_gates,
                       .conflict_budget = params_.exact_conflict_budget,
-                      .token = token,
-                      .engine = params_.engine});
+                      .token = token});
             if (exact.success) {
                 e.circuit = exact.circuit;
                 e.num_gates = exact.num_gates;

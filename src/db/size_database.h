@@ -7,7 +7,6 @@
 #pragma once
 
 #include "db/sharded_store.h"
-#include "sat/types.h"
 #include "tt/truth_table.h"
 #include "xag/xag.h"
 
@@ -18,8 +17,6 @@ namespace mcx {
 struct size_database_params {
     uint32_t exact_max_gates = 10;
     uint64_t exact_conflict_budget = 30'000;
-    /// CDCL engine for miss synthesis (`automatic` = process default).
-    sat::sat_engine engine = sat::sat_engine::automatic;
 };
 
 class size_database {

@@ -1,39 +1,54 @@
-// Small CNF gadget builders shared by the exact-synthesis encoders.
+// Small CNF gadget builders shared by the exact-synthesis encoders.  They
+// are templates over the solver so the exact-MC search can run on the
+// production solver and on the legacy oracle alike (src/exact/
+// exact_mc_search.h); any type with add_variable() and
+// add_clause(std::span<const literal>) works.
 #pragma once
 
-#include "sat/solver.h"
+#include "sat/types.h"
 
+#include <initializer_list>
 #include <span>
 
 namespace mcx::sat {
 
+/// Add one clause given as a braced list of literals.
+template <typename Solver>
+void add_clause(Solver& s, std::initializer_list<literal> lits)
+{
+    s.add_clause(std::span<const literal>{lits.begin(), lits.size()});
+}
+
 /// y = a AND b (3 clauses).
-inline literal add_and_gate(solver& s, literal a, literal b)
+template <typename Solver>
+literal add_and_gate(Solver& s, literal a, literal b)
 {
     const literal y{s.add_variable(), false};
-    s.add_clause({~y, a});
-    s.add_clause({~y, b});
-    s.add_clause({y, ~a, ~b});
+    add_clause(s, {~y, a});
+    add_clause(s, {~y, b});
+    add_clause(s, {y, ~a, ~b});
     return y;
 }
 
 /// y = a XOR b (4 clauses).
-inline literal add_xor_gate(solver& s, literal a, literal b)
+template <typename Solver>
+literal add_xor_gate(Solver& s, literal a, literal b)
 {
     const literal y{s.add_variable(), false};
-    s.add_clause({~y, a, b});
-    s.add_clause({~y, ~a, ~b});
-    s.add_clause({y, ~a, b});
-    s.add_clause({y, a, ~b});
+    add_clause(s, {~y, a, b});
+    add_clause(s, {~y, ~a, ~b});
+    add_clause(s, {y, ~a, b});
+    add_clause(s, {y, a, ~b});
     return y;
 }
 
 /// y = parity of `terms` (false for an empty list), via a sequential ladder.
-inline literal add_xor_ladder(solver& s, std::span<const literal> terms)
+template <typename Solver>
+literal add_xor_ladder(Solver& s, std::span<const literal> terms)
 {
     if (terms.empty()) {
         const literal zero{s.add_variable(), false};
-        s.add_clause({~zero});
+        add_clause(s, {~zero});
         return zero;
     }
     literal acc = terms[0];
@@ -43,9 +58,10 @@ inline literal add_xor_ladder(solver& s, std::span<const literal> terms)
 }
 
 /// Pin a literal to a constant.
-inline void force(solver& s, literal l, bool value)
+template <typename Solver>
+void force(Solver& s, literal l, bool value)
 {
-    s.add_clause({value ? l : ~l});
+    add_clause(s, {value ? l : ~l});
 }
 
 } // namespace mcx::sat

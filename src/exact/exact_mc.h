@@ -10,11 +10,11 @@
 // The decision problem "exists an XAG with k ANDs computing f" is encoded
 // into CNF with selector variables for the affine combinations and
 // per-minterm parity chains, and solved by the in-tree CDCL solver; k is
-// searched upward from the degree lower bound MC(f) >= deg(f) - 1.
+// searched upward from the degree lower bound MC(f) >= deg(f) - 1.  The
+// search itself is a template over the solver (src/exact/exact_mc_search.h).
 #pragma once
 
 #include "core/budget.h"
-#include "sat/types.h"
 #include "tt/truth_table.h"
 #include "xag/xag.h"
 
@@ -26,8 +26,6 @@ struct exact_mc_params {
     uint32_t max_ands = 7;           ///< give up beyond this many AND gates
     uint64_t conflict_budget = 200'000; ///< per k-step; 0 = unlimited
     cancellation_token token;        ///< cooperative stop (checked per conflict)
-    /// CDCL engine for the per-k solvers (`automatic` = process default).
-    sat::sat_engine engine = sat::sat_engine::automatic;
 };
 
 struct exact_mc_result {

@@ -1,6 +1,6 @@
 #include "exact/exact_size.h"
 
-#include "exact/encoding_util.h"
+#include "sat/solver.h"
 #include "tt/operations.h"
 #include "xag/simulate.h"
 
@@ -11,7 +11,6 @@ namespace mcx {
 
 namespace {
 
-using sat::force;
 using sat::literal;
 using sat::solve_result;
 using sat::solver;
@@ -201,7 +200,7 @@ exact_size_result exact_size_synthesis(const truth_table& f,
         }
         // One encoding, one solve: the bounded preprocessor is sound here
         // (see exact_mc.cpp).
-        solver s{sat::sat_params{.engine = params.engine, .preprocess = true}};
+        solver s{sat::sat_params{.preprocess = true}};
         const auto enc = build_encoding(s, f, r);
         switch (s.solve(params.conflict_budget, params.token)) {
         case solve_result::satisfiable: {

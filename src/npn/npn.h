@@ -6,16 +6,15 @@
 // (complemented edges), so a minimal circuit of the NPN representative is a
 // minimal circuit of every class member.
 //
-// Two implementations are provided.  `npn_canonize` walks the same
-// 2 * 2^n * n! candidate space as the brute force, but steps between
-// candidates with single word operations (Gray-code input flips, masked
-// variable swaps) on the packed 64-bit truth table, so each candidate costs
-// O(1) instead of O(2^n * n).  `npn_canonize_baseline` is the original
-// bit-at-a-time search, retained as the reference oracle for tests and for
-// the speedup measurement in bench/micro_core.  Both return the same
-// representative (the minimum truth table of the class); the transforms may
-// differ between implementations when several transforms reach it, and
-// either satisfies f = transform.apply(representative).
+// `npn_canonize` walks the whole 2 * 2^n * n! candidate space, but steps
+// between candidates with single word operations (Gray-code input flips,
+// masked variable swaps) on the packed 64-bit truth table, so each
+// candidate costs O(1) instead of O(2^n * n).  The original bit-at-a-time
+// search lives in the oracle library (oracles/npn_baseline.h) as the
+// reference for tests and for the speedup gate in bench/micro_core.  Both
+// return the same representative (the minimum truth table of the class);
+// the transforms may differ when several transforms reach it, and either
+// satisfies f = transform.apply(representative).
 #pragma once
 
 #include "core/lru_cache.h"
@@ -45,10 +44,6 @@ struct npn_result {
 /// Smallest truth table in the NPN class of `f` plus the transform back.
 /// Word-parallel exact search (see header comment).
 npn_result npn_canonize(const truth_table& f);
-
-/// Reference oracle: the original exhaustive bit-at-a-time search.  Same
-/// representative as `npn_canonize`, ~two orders of magnitude slower.
-npn_result npn_canonize_baseline(const truth_table& f);
 
 /// Bounded-LRU memoization in front of `npn_canonize` — on real netlists
 /// the same cut functions recur constantly, so canonization becomes a hash

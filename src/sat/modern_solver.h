@@ -6,8 +6,9 @@
 // (subsumption + self-subsumption + bounded variable elimination with
 // model reconstruction).
 //
-// Behavioural contract — identical to `legacy_solver` and enforced by the
-// differential fuzz in tests/sat_test.cpp:
+// Behavioural contract — identical to the legacy oracle
+// (oracles/legacy_solver.h) and enforced by the differential fuzz in
+// tests/sat_test.cpp:
 //   - assumptions as pseudo-decision levels + `failed_assumptions()`
 //   - learnt clauses retained across calls (warm incremental sessions)
 //   - `export_learnt` migration feed for the equivalence remapper GC
@@ -89,7 +90,7 @@ private:
     void garbage_collect();
     static uint64_t luby(uint64_t i);
 
-    // VSIDS heap (same shape as the legacy engine's).
+    // VSIDS heap (same shape as the legacy oracle's).
     void heap_insert(uint32_t var);
     void heap_percolate_up(uint32_t pos);
     void heap_percolate_down(uint32_t pos);

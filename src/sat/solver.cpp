@@ -3,21 +3,15 @@
 #include "core/fault_inject.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sat/legacy_solver.h"
 #include "sat/modern_solver.h"
-
-#include <atomic>
 
 namespace mcx::sat {
 
 namespace {
 
-std::atomic<sat_engine> g_default_engine{sat_engine::modern};
-
 /// Covers every exit of solve(): a "sat.solve" span (arg = conflicts this
 /// call) and registry deltas of the per-solver stats.  Instance stats stay
-/// the per-solver source of truth; the registry aggregates across solvers
-/// and engines.
+/// the per-solver source of truth; the registry aggregates across solvers.
 class solve_observer {
 public:
     explicit solve_observer(const solver_stats& stats)
@@ -49,60 +43,23 @@ private:
 
 } // namespace
 
-sat_engine default_engine()
-{
-    return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void set_default_engine(sat_engine engine)
-{
-    g_default_engine.store(engine == sat_engine::automatic
-                               ? sat_engine::modern
-                               : engine,
-                           std::memory_order_relaxed);
-}
-
-const char* engine_name(sat_engine engine)
-{
-    switch (engine) {
-    case sat_engine::legacy:
-        return "legacy";
-    case sat_engine::modern:
-        return "modern";
-    case sat_engine::automatic:
-        break;
-    }
-    return engine_name(default_engine());
-}
-
 solver::solver(sat_params params)
-    : engine_{params.engine == sat_engine::automatic ? default_engine()
-                                                     : params.engine}
+    : core_{std::make_unique<modern_solver>(params.preprocess,
+                                            params.restarts)}
 {
-    if (engine_ == sat_engine::legacy)
-        legacy_ = std::make_unique<legacy_solver>();
-    else
-        modern_ =
-            std::make_unique<modern_solver>(params.preprocess, params.restarts);
 }
 
 solver::~solver() = default;
 solver::solver(solver&&) noexcept = default;
 solver& solver::operator=(solver&&) noexcept = default;
 
-uint32_t solver::num_vars() const
-{
-    return legacy_ ? legacy_->num_vars() : modern_->num_vars();
-}
+uint32_t solver::num_vars() const { return core_->num_vars(); }
 
-uint32_t solver::add_variable()
-{
-    return legacy_ ? legacy_->add_variable() : modern_->add_variable();
-}
+uint32_t solver::add_variable() { return core_->add_variable(); }
 
 bool solver::add_clause(std::span<const literal> lits)
 {
-    return legacy_ ? legacy_->add_clause(lits) : modern_->add_clause(lits);
+    return core_->add_clause(lits);
 }
 
 solve_result solver::solve(std::span<const literal> assumptions,
@@ -111,8 +68,7 @@ solve_result solver::solve(std::span<const literal> assumptions,
 {
     // Injected budget exhaustion: converted to `undecided` right here, the
     // same value a genuinely exhausted budget produces, so callers'
-    // unknown-vs-UNSAT handling is exercised on the real return path —
-    // for either engine.
+    // unknown-vs-UNSAT handling is exercised on the real return path.
     try {
         fault_injection::fire(fault_site::sat_budget);
     } catch (const fault_injected_error&) {
@@ -120,34 +76,25 @@ solve_result solver::solve(std::span<const literal> assumptions,
     }
 
     const solve_observer observe{stats()};
-    if (legacy_) {
-        legacy_->on_learnt = on_learnt;
-        return legacy_->solve(assumptions, conflict_budget, token);
-    }
-    modern_->on_learnt = on_learnt;
-    return modern_->solve(assumptions, conflict_budget, token);
+    core_->on_learnt = on_learnt;
+    return core_->solve(assumptions, conflict_budget, token);
 }
 
 bool solver::model_value(uint32_t var) const
 {
-    return legacy_ ? legacy_->model_value(var) : modern_->model_value(var);
+    return core_->model_value(var);
 }
 
 const std::vector<literal>& solver::failed_assumptions() const
 {
-    return legacy_ ? legacy_->failed_assumptions()
-                   : modern_->failed_assumptions();
+    return core_->failed_assumptions();
 }
 
 std::vector<std::vector<literal>> solver::export_learnt(size_t max_len) const
 {
-    return legacy_ ? legacy_->export_learnt(max_len)
-                   : modern_->export_learnt(max_len);
+    return core_->export_learnt(max_len);
 }
 
-const solver_stats& solver::stats() const
-{
-    return legacy_ ? legacy_->stats() : modern_->stats();
-}
+const solver_stats& solver::stats() const { return core_->stats(); }
 
 } // namespace mcx::sat

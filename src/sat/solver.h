@@ -1,16 +1,11 @@
-// The SAT solver facade: one `sat::solver` API over two interchangeable
-// CDCL engines.
+// The SAT solver facade: `sat::solver` wraps the arena-based CDCL core
+// (src/sat/modern_solver.h): inline binary-clause watchers, LBD-tiered
+// learnt retention, LBD-EMA restarts, optional bounded preprocessing.
 //
-//   - modern (default): arena clause storage, inline binary-clause
-//     watchers, LBD-tiered learnt retention, LBD-EMA restarts, optional
-//     bounded preprocessing (src/sat/modern_solver.h)
-//   - legacy: the original solver, kept verbatim as the differential
-//     oracle (src/sat/legacy_solver.h), selectable per solver via
-//     `sat_params::engine` or process-wide via `mcx --sat-engine legacy`
-//
-// The facade also owns the cross-engine plumbing: the
-// `fault_site::sat_budget` injection point and the `sat.solve` span +
-// `sat.*` metrics mirrors, so both engines are observed identically.
+// The facade owns the cross-cutting plumbing: the `fault_site::sat_budget`
+// injection point and the `sat.solve` span + `sat.*` metrics mirrors.  The
+// original solver survives outside the production library as a
+// differential oracle (oracles/legacy_solver.h, see docs/sat.md).
 //
 // Substrate for exact multiplicative-complexity synthesis (src/exact) and
 // formal equivalence checking of optimized networks (src/sat/equivalence.h).
@@ -27,7 +22,6 @@
 
 namespace mcx::sat {
 
-class legacy_solver;
 class modern_solver;
 
 class solver {
@@ -36,9 +30,6 @@ public:
     ~solver();
     solver(solver&&) noexcept;
     solver& operator=(solver&&) noexcept;
-
-    /// The engine actually backing this solver (never `automatic`).
-    sat_engine engine() const { return engine_; }
 
     uint32_t num_vars() const;
 
@@ -98,9 +89,7 @@ public:
     std::function<void(std::span<const literal>)> on_learnt;
 
 private:
-    sat_engine engine_;
-    std::unique_ptr<modern_solver> modern_;
-    std::unique_ptr<legacy_solver> legacy_;
+    std::unique_ptr<modern_solver> core_;
 };
 
 } // namespace mcx::sat

@@ -1,12 +1,7 @@
 // Shared SAT-layer vocabulary: literals, solve results, per-solver stats,
-// and the engine-selection contract (`sat_engine` / `sat_params`).
-//
-// Two CDCL engines live behind the `sat::solver` facade (src/sat/solver.h):
-// the modern arena-based core (src/sat/modern_solver.h) and the original
-// vector-of-clauses solver retained verbatim as the differential oracle
-// (src/sat/legacy_solver.h).  Consumers pick an engine per solver through
-// `sat_params::engine`; `automatic` defers to the process-wide default set
-// by `mcx --sat-engine`.
+// and the per-solver configuration (`sat_params`).  The production solver
+// is src/sat/solver.h; the legacy oracle (oracles/legacy_solver.h) speaks
+// the same vocabulary.
 #pragma once
 
 #include <cstdint>
@@ -52,33 +47,18 @@ struct solver_stats {
     uint64_t learnt_removed = 0;
 };
 
-/// Which CDCL core backs a `sat::solver`.  `automatic` resolves to the
-/// process-wide default (modern unless `mcx --sat-engine legacy`).
-enum class sat_engine : uint8_t { automatic, modern, legacy };
-
-/// Process-wide default engine used by `sat_engine::automatic`.  Set once
-/// at CLI startup; reads are relaxed-atomic so pool workers constructing
-/// solvers concurrently are race-free.
-sat_engine default_engine();
-void set_default_engine(sat_engine engine); ///< `automatic` resets to modern
-
-/// Stable name for reports / flags ("modern" / "legacy").
-const char* engine_name(sat_engine engine);
-
-/// Restart schedule of the modern core (legacy always uses Luby).
+/// Restart schedule of the core (the legacy oracle always uses Luby).
 enum class restart_policy : uint8_t { ema, luby };
 
 /// Per-solver configuration, fixed at construction.
 ///
-/// `preprocess` enables the modern core's bounded one-shot preprocessor
+/// `preprocess` enables the core's bounded one-shot preprocessor
 /// (subsumption + self-subsumption + bounded variable elimination with
 /// model reconstruction).  It is only sound for the build-once/solve
 /// pattern — exact-synthesis encodings and cold CEC miters — and must stay
 /// off for warm incremental sessions that keep adding clauses and solving
-/// under assumptions (`incremental_cec`, `cone_verifier`).  The legacy
-/// engine has no preprocessor and ignores the flag.
+/// under assumptions (`incremental_cec`, `cone_verifier`).
 struct sat_params {
-    sat_engine engine = sat_engine::automatic;
     bool preprocess = false;
     restart_policy restarts = restart_policy::ema;
 };

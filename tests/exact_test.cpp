@@ -1,6 +1,9 @@
+#include "core/flow.h"
 #include "exact/exact_mc.h"
 #include "exact/exact_size.h"
 #include "exact/heuristic_mc.h"
+#include "gen/arithmetic.h"
+#include "oracles/legacy_exact_mc.h"
 #include "tt/operations.h"
 #include "xag/simulate.h"
 
@@ -127,6 +130,38 @@ TEST(exact_mc, budget_exhaustion_is_reported)
 TEST(exact_mc, rejects_oversized_input)
 {
     EXPECT_THROW(exact_mc_synthesis(truth_table{7}), std::invalid_argument);
+}
+
+// The exact-MC search is one template over the solver: the production
+// core and the legacy oracle must reach the same verdict on every class
+// the flow actually synthesizes, under the database's own budget.
+TEST(exact_mc, engine_identity_on_flow_representatives)
+{
+    auto net = gen_adder(16);
+    pass_context ctx;
+    run_flow(net, make_flow("mc"), ctx);
+    const auto reps = ctx.mc_db().export_combined().representatives;
+    ASSERT_FALSE(reps.empty());
+
+    const auto expect_same = [](const truth_table& f,
+                                const exact_mc_params& params) {
+        const auto modern = exact_mc_synthesis(f, params);
+        const auto legacy = legacy_exact_mc_synthesis(f, params);
+        EXPECT_EQ(modern.num_ands, legacy.num_ands) << f.to_hex();
+        EXPECT_EQ(modern.optimal, legacy.optimal) << f.to_hex();
+        EXPECT_EQ(modern.status, legacy.status) << f.to_hex();
+        if (legacy.success)
+            EXPECT_EQ(simulate(legacy.circuit)[0], f) << f.to_hex();
+    };
+    // The flow's classes under the database's own search limits.
+    const mc_database_params db;
+    for (const auto& f : reps)
+        expect_same(f, {.max_ands = db.exact_max_ands,
+                        .conflict_budget = db.exact_conflict_budget});
+    // The two 5-input instances bench_micro_core times (MC 4 and MC 3),
+    // at the default limits it times them with.
+    expect_same(truth_table{5, 0x206967ce}, {});
+    expect_same(truth_table{5, 0xd9ff7cf6}, {});
 }
 
 TEST(heuristic_mc, affine_costs_zero)

@@ -1,4 +1,5 @@
 #include "npn/npn.h"
+#include "oracles/npn_baseline.h"
 #include "tt/truth_table.h"
 
 #include <gtest/gtest.h>

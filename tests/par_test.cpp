@@ -357,15 +357,11 @@ TEST(two_phase_determinism, size_baseline_engine)
                                   "size-baseline");
 }
 
-TEST(two_phase_determinism, zero_gain_and_unbatched_paths)
+TEST(two_phase_determinism, zero_gain_path)
 {
     flow_params params;
     params.rewrite.allow_zero_gain = true;
     expect_thread_count_invariant(gen_adder(12), "zero-gain", params);
-
-    flow_params unbatched;
-    unbatched.rewrite.batched_simulation = false;
-    expect_thread_count_invariant(gen_adder(12), "unbatched", unbatched);
 }
 
 } // namespace

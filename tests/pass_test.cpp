@@ -2,9 +2,10 @@
 // simulation.
 #include "core/flow.h"
 #include "core/pass.h"
-#include "core/rewrite.h"
 #include "cut/cut_enumeration.h"
 #include "gen/arithmetic.h"
+#include "spectral/classification.h"
+#include "tt/operations.h"
 #include "xag/cleanup.h"
 #include "xag/cone_batch.h"
 #include "xag/simulate.h"
@@ -12,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <set>
+#include <span>
 
 namespace mcx {
 namespace {
@@ -181,30 +185,119 @@ TEST(cone_simulator, flags_cone_escape_and_forbidden_nodes)
                                ab.node()));
 }
 
-TEST(cone_simulator, batched_and_unbatched_rewrites_agree)
+/// Reference candidate check: DFS containment (the cone must stop at
+/// `leaves` and must not contain `forbidden`) plus per-cut cone_function.
+std::optional<uint64_t> reference_cone_word(const xag& net, uint32_t root,
+                                            std::span<const uint32_t> leaves,
+                                            uint32_t forbidden)
 {
-    for (const uint64_t seed : {31u, 32u}) {
-        const auto source = random_network(seed, 9, 150, 6);
-        auto batched_net = cleanup(source); // two structurally identical
-        auto legacy_net = cleanup(source);  // copies of the same network
-        const auto golden = cleanup(source);
-
-        pass_context ctx1, ctx2;
-        rewrite_params batched;
-        batched.batched_simulation = true;
-        rewrite_params legacy;
-        legacy.batched_simulation = false;
-        const auto rb = mc_rewrite_round(batched_net, ctx1, batched);
-        const auto rl = mc_rewrite_round(legacy_net, ctx2, legacy);
-
-        EXPECT_TRUE(exhaustive_equal(cleanup(batched_net), golden));
-        EXPECT_TRUE(exhaustive_equal(cleanup(legacy_net), golden));
-        // Identical inputs and identical candidate evaluation order: the
-        // batched path must replicate the per-cut path exactly.
-        EXPECT_EQ(rb.ands_after, rl.ands_after) << "seed " << seed;
-        EXPECT_EQ(rb.replacements, rl.replacements) << "seed " << seed;
-        EXPECT_EQ(rb.cuts_evaluated, rl.cuts_evaluated) << "seed " << seed;
+    std::vector<uint32_t> stack{root};
+    std::set<uint32_t> visited(leaves.begin(), leaves.end());
+    while (!stack.empty()) {
+        const auto n = stack.back();
+        stack.pop_back();
+        if (!visited.insert(n).second)
+            continue;
+        if (n == forbidden)
+            return std::nullopt;
+        if (!net.is_gate(n))
+            continue;
+        stack.push_back(net.fanin0(n).node());
+        stack.push_back(net.fanin1(n).node());
     }
+    try {
+        return cone_function(net, root, leaves).word();
+    } catch (const std::invalid_argument&) {
+        return std::nullopt;
+    }
+}
+
+/// The mc rounds' splice: representative circuit behind the affine input
+/// transform, output mask and complement (f = t.apply(representative)).
+signal splice_affine(xag& net, const affine_transform& t,
+                     std::span<const signal> leaves, const xag& repr)
+{
+    std::vector<signal> inputs(t.num_vars);
+    for (uint32_t i = 0; i < t.num_vars; ++i) {
+        auto acc = net.get_constant(((t.c >> i) & 1) != 0);
+        for (uint32_t k = 0; k < t.num_vars; ++k)
+            if ((t.mt_column(k) >> i) & 1)
+                acc = net.create_xor(acc, leaves[k]);
+        inputs[i] = acc;
+    }
+    auto out = insert_network(net, repr, inputs)[0];
+    for (uint32_t k = 0; k < t.num_vars; ++k)
+        if ((t.v >> k) & 1)
+            out = net.create_xor(out, leaves[k]);
+    return out ^ t.output_complement;
+}
+
+TEST(cone_simulator, candidate_check_matches_dfs_and_cone_function)
+{
+    // Every candidate an mc round could splice, on the network as it
+    // stands before each round: the kernel's one-traversal check (with the
+    // rewrite root forbidden) must agree with the per-cut reference on
+    // acceptance and on the function word.
+    uint64_t accepted = 0, rejected = 0;
+    for (const uint64_t seed : {31u, 32u}) {
+        auto net = cleanup(random_network(seed, 9, 150, 6));
+        const auto golden = cleanup(net);
+        pass_context ctx;
+        cone_simulator sim;
+        for (int round = 0; round < 4; ++round) {
+            const auto cuts = enumerate_cuts(net);
+            std::vector<uint32_t> gates;
+            for (const auto n : net.topological_order())
+                if (net.is_gate(n))
+                    gates.push_back(n);
+            for (const auto n : gates) {
+                for (const auto& c : cuts[n]) {
+                    if (c.num_leaves < 2)
+                        continue;
+                    const std::vector<uint32_t> cut_leaves(
+                        c.leaf_span().begin(), c.leaf_span().end());
+                    const auto view = shrink_to_support(
+                        cone_function(net, n, cut_leaves));
+                    if (view.support.size() < 2)
+                        continue;
+                    std::vector<uint32_t> support;
+                    std::vector<signal> leaf_sigs;
+                    for (const auto idx : view.support) {
+                        support.push_back(cut_leaves[idx]);
+                        leaf_sigs.push_back(signal{cut_leaves[idx], false});
+                    }
+                    const auto& cls = ctx.classification().classify(
+                        view.function);
+                    if (!cls.success)
+                        continue;
+                    const auto& entry =
+                        ctx.mc_db().lookup_or_build(cls.representative);
+                    const auto cand = splice_affine(net, cls.transform,
+                                                    leaf_sigs, entry.circuit);
+                    net.take_ref(cand);
+                    const auto kernel =
+                        sim.cone_word(net, cand.node(), support, n);
+                    const auto reference =
+                        reference_cone_word(net, cand.node(), support, n);
+                    ASSERT_EQ(kernel.has_value(), reference.has_value())
+                        << "seed " << seed << " node " << n;
+                    if (kernel) {
+                        EXPECT_EQ(*kernel, *reference)
+                            << "seed " << seed << " node " << n;
+                        ++accepted;
+                    } else {
+                        ++rejected;
+                    }
+                    net.release_ref(net.resolve(cand));
+                }
+            }
+            if (mc_rewrite_round(net, ctx).replacements == 0)
+                break;
+        }
+        EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------------- passes and flows
@@ -287,27 +380,7 @@ TEST(flow_engine, iterate_until_convergence_stops)
     EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
 }
 
-// ------------------------------------------------- deprecated shim parity
-
-TEST(rewrite_shims, legacy_and_pass_api_produce_identical_results)
-{
-    const auto source = random_network(61);
-    auto legacy_net = cleanup(source); // two structurally identical copies
-    auto pass_net = cleanup(source);
-    const auto golden = cleanup(source);
-
-    const auto legacy = mc_rewrite(legacy_net);
-
-    pass_context ctx;
-    const auto ps = mc_rewrite_pass{}.run(pass_net, ctx);
-
-    EXPECT_EQ(legacy.rounds.size(), ps.rounds.size());
-    EXPECT_EQ(legacy.ands_after(), ps.after.num_ands);
-    EXPECT_TRUE(exhaustive_equal(cleanup(legacy_net), golden));
-    EXPECT_TRUE(exhaustive_equal(cleanup(pass_net), golden));
-}
-
-TEST(rewrite_shims, size_rewrite_still_works)
+TEST(pass_framework, size_pass_shrinks_naive_majority)
 {
     xag net;
     const auto a = net.create_pi();
@@ -316,7 +389,8 @@ TEST(rewrite_shims, size_rewrite_still_works)
     net.create_po(net.create_maj_naive(a, b, c));
     const auto golden = cleanup(net);
     const auto gates_before = net.num_gates();
-    size_rewrite(net);
+    pass_context ctx;
+    size_rewrite_pass{}.run(net, ctx);
     EXPECT_LE(net.num_gates(), gates_before);
     EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
 }

@@ -1,5 +1,5 @@
 #include "core/mffc.h"
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "sat/equivalence.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
@@ -12,6 +12,19 @@
 
 namespace mcx {
 namespace {
+
+/// Rewrite to convergence through a fresh pass context.
+pass_stats mc_optimize(xag& net, const rewrite_params& params = {})
+{
+    pass_context ctx;
+    return mc_rewrite_pass{params}.run(net, ctx);
+}
+
+pass_stats size_optimize(xag& net)
+{
+    pass_context ctx;
+    return size_rewrite_pass{}.run(net, ctx);
+}
 
 xag full_adder()
 {
@@ -100,7 +113,7 @@ TEST(mc_rewrite_suite, full_adder_reaches_mc_one)
     const auto golden = simulate(net);
     ASSERT_EQ(net.num_ands(), 3u);
 
-    const auto result = mc_rewrite(net);
+    const auto result = mc_optimize(net);
     EXPECT_EQ(net.num_ands(), 1u);
     EXPECT_EQ(simulate(net), golden);
     EXPECT_TRUE(result.converged);
@@ -116,7 +129,7 @@ TEST(mc_rewrite_suite, ripple_adder_reaches_n_ands)
         // 5 ANDs per naive majority, except stage 0 which folds against the
         // constant carry-in down to a single AND.
         EXPECT_EQ(net.num_ands(), 5 * bits - 4);
-        mc_rewrite(net);
+        mc_optimize(net);
         EXPECT_EQ(net.num_ands(), bits);
         EXPECT_EQ(simulate(net), golden);
     }
@@ -126,7 +139,7 @@ TEST(mc_rewrite_suite, already_optimal_adder_unchanged)
 {
     auto net = ripple_adder(6, true); // 6 ANDs: the known optimum
     const auto before = net.num_ands();
-    const auto result = mc_rewrite(net);
+    const auto result = mc_optimize(net);
     EXPECT_EQ(net.num_ands(), before);
     EXPECT_TRUE(result.converged);
 }
@@ -136,7 +149,7 @@ TEST(mc_rewrite_suite, and_count_never_increases)
     for (const uint64_t seed : {7u, 8u, 9u}) {
         auto net = random_network(seed, 8, 80, 6);
         const auto before = net.num_ands();
-        mc_rewrite(net);
+        mc_optimize(net);
         EXPECT_LE(net.num_ands(), before);
         net.check_integrity();
     }
@@ -147,7 +160,7 @@ TEST(mc_rewrite_suite, function_preserved_on_random_networks)
     for (const uint64_t seed : {10u, 11u, 12u, 13u}) {
         auto net = random_network(seed, 10, 120, 8);
         const auto golden = cleanup(net);
-        mc_rewrite(net);
+        mc_optimize(net);
         EXPECT_TRUE(exhaustive_equal(net, golden)) << "seed " << seed;
     }
 }
@@ -156,7 +169,7 @@ TEST(mc_rewrite_suite, formal_equivalence_after_rewrite)
 {
     auto net = ripple_adder(8, false);
     const auto golden = cleanup(net);
-    mc_rewrite(net);
+    mc_optimize(net);
     const auto report = sat::check_equivalence(cleanup(net), golden);
     EXPECT_EQ(report.result, sat::equivalence_result::equivalent);
 }
@@ -164,13 +177,12 @@ TEST(mc_rewrite_suite, formal_equivalence_after_rewrite)
 TEST(mc_rewrite_suite, one_round_vs_convergence)
 {
     auto net1 = ripple_adder(12, false);
-    mc_database db;
-    classification_cache cache;
-    const auto one = mc_rewrite_round(net1, db, cache);
+    pass_context ctx;
+    const auto one = mc_rewrite_round(net1, ctx);
     EXPECT_LT(one.ands_after, one.ands_before);
 
     auto net2 = ripple_adder(12, false);
-    const auto conv = mc_rewrite(net2, db, cache);
+    const auto conv = mc_rewrite_pass{}.run(net2, ctx);
     EXPECT_LE(net2.num_ands(), net1.num_ands());
     EXPECT_GE(conv.rounds.size(), 1u);
     EXPECT_TRUE(conv.converged);
@@ -179,9 +191,9 @@ TEST(mc_rewrite_suite, one_round_vs_convergence)
 TEST(mc_rewrite_suite, cache_is_effective_across_rounds)
 {
     auto net = ripple_adder(10, false);
-    mc_database db;
-    classification_cache cache;
-    mc_rewrite(net, db, cache);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
+    const auto& cache = ctx.classification();
     EXPECT_GT(cache.hits(), 0u);
     EXPECT_GT(cache.size(), 0u);
 }
@@ -194,13 +206,13 @@ TEST(mc_rewrite_suite, respects_cut_size_parameter)
     rewrite_params small;
     small.cut_size = 3;
     auto net3 = ripple_adder(8, false);
-    mc_rewrite(net3, small);
+    mc_optimize(net3, small);
     EXPECT_LT(net3.num_ands(), initial);
 
     rewrite_params large;
     large.cut_size = 6;
     auto net6 = ripple_adder(8, false);
-    mc_rewrite(net6, large);
+    mc_optimize(net6, large);
     EXPECT_LT(net6.num_ands(), initial);
     EXPECT_EQ(net6.num_ands(), 8u);
 }
@@ -212,7 +224,7 @@ TEST(size_rewrite_suite, reduces_naive_structures)
     auto net = ripple_adder(8, false);
     const auto golden = simulate(net);
     const auto gates_before = net.num_gates();
-    size_rewrite(net);
+    size_optimize(net);
     EXPECT_LT(net.num_gates(), gates_before);
     EXPECT_EQ(simulate(net), golden);
     net.check_integrity();
@@ -223,7 +235,7 @@ TEST(size_rewrite_suite, function_preserved_on_random_networks)
     for (const uint64_t seed : {14u, 15u}) {
         auto net = random_network(seed, 8, 90, 6);
         const auto golden = cleanup(net);
-        size_rewrite(net);
+        size_optimize(net);
         EXPECT_TRUE(exhaustive_equal(net, golden)) << "seed " << seed;
         net.check_integrity();
     }
@@ -234,18 +246,17 @@ TEST(size_rewrite_suite, does_not_optimize_ands_specifically)
     // The headline comparison of the paper: generic size optimization keeps
     // many more AND gates than MC-aware rewriting on arithmetic logic.
     auto generic = ripple_adder(12, false);
-    size_rewrite(generic);
+    size_optimize(generic);
     auto mc_aware = ripple_adder(12, false);
-    mc_rewrite(mc_aware);
+    mc_optimize(mc_aware);
     EXPECT_GT(generic.num_ands(), mc_aware.num_ands());
 }
 
 TEST(mc_rewrite_suite, zero_gain_disabled_by_default)
 {
     auto net = ripple_adder(4, true);
-    mc_database db;
-    classification_cache cache;
-    const auto stats = mc_rewrite_round(net, db, cache);
+    pass_context ctx;
+    const auto stats = mc_rewrite_round(net, ctx);
     EXPECT_EQ(stats.ands_after, stats.ands_before);
 }
 

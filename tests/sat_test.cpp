@@ -1,4 +1,5 @@
 #include "core/fault_inject.h"
+#include "oracles/legacy_solver.h"
 #include "sat/cnf.h"
 #include "sat/equivalence.h"
 #include "sat/solver.h"
@@ -544,7 +545,7 @@ TEST(cone_verifier_check, undecided_on_injected_budget_exhaustion)
               equivalence_result::equivalent);
 }
 
-// --------------------------------------- modern-vs-legacy differential
+// ----------------------- production-vs-legacy-oracle differential
 
 namespace {
 
@@ -567,22 +568,24 @@ std::vector<std::vector<literal>> random_cnf(std::mt19937_64& rng,
     return clauses;
 }
 
-void expect_model_satisfies(const solver& s,
-                            const std::vector<std::vector<literal>>& clauses)
+template <typename Solver>
+void expect_model_satisfies(const Solver& s,
+                            const std::vector<std::vector<literal>>& clauses,
+                            const char* engine = "modern")
 {
     for (const auto& cl : clauses) {
         bool any = false;
         for (const auto l : cl)
             any |= s.model_value(l.var()) != l.negative();
-        EXPECT_TRUE(any) << engine_name(s.engine())
-                         << " model violates a clause";
+        EXPECT_TRUE(any) << engine << " model violates a clause";
     }
 }
 
-solver build(sat_engine engine, bool preprocess, uint32_t num_vars,
-             const std::vector<std::vector<literal>>& clauses)
+/// `s` with `num_vars` variables and `clauses` loaded.
+template <typename Solver>
+Solver load(Solver s, uint32_t num_vars,
+            const std::vector<std::vector<literal>>& clauses)
 {
-    solver s{sat_params{.engine = engine, .preprocess = preprocess}};
     for (uint32_t v = 0; v < num_vars; ++v)
         (void)s.add_variable();
     for (const auto& cl : clauses)
@@ -592,10 +595,10 @@ solver build(sat_engine engine, bool preprocess, uint32_t num_vars,
 
 } // namespace
 
-// The modern core must be verdict-identical to the legacy engine on random
-// CNF across multi-call sequences with assumptions: same answers at every
-// step, models that satisfy clauses and assumptions, and failed-assumption
-// subsets that are independently unsatisfiable.
+// The production core must be verdict-identical to the legacy oracle on
+// random CNF across multi-call sequences with assumptions: same answers at
+// every step, models that satisfy clauses and assumptions, and
+// failed-assumption subsets that are independently unsatisfiable.
 class engine_differential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
@@ -605,11 +608,11 @@ TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
     const uint32_t num_clauses = num_vars * 3 + rng() % (num_vars * 3);
     const auto clauses = random_cnf(rng, num_vars, num_clauses);
 
-    auto modern = build(sat_engine::modern, false, num_vars, clauses);
-    auto legacy = build(sat_engine::legacy, false, num_vars, clauses);
+    auto modern = load(solver{}, num_vars, clauses);
+    auto legacy = load(legacy_solver{}, num_vars, clauses);
 
     // Three rounds: assumption-free, then two random assumption sets —
-    // exercising learnt retention between calls on both engines.
+    // exercising learnt retention between calls on both solvers.
     for (int round = 0; round < 3; ++round) {
         std::vector<literal> assumptions;
         if (round > 0)
@@ -624,7 +627,7 @@ TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
 
         if (vm == solve_result::satisfiable) {
             expect_model_satisfies(modern, clauses);
-            expect_model_satisfies(legacy, clauses);
+            expect_model_satisfies(legacy, clauses, "legacy");
             for (const auto a : assumptions)
                 EXPECT_EQ(modern.model_value(a.var()), !a.negative());
         } else if (vm == solve_result::unsatisfiable &&
@@ -636,10 +639,10 @@ TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
             for (const auto f : failed)
                 EXPECT_TRUE(std::find(assumptions.begin(), assumptions.end(),
                                       f) != assumptions.end());
-            auto oracle = build(sat_engine::legacy, false, num_vars, clauses);
+            auto oracle = load(legacy_solver{}, num_vars, clauses);
             for (const auto f : failed)
-                oracle.add_clause({f});
-            EXPECT_EQ(oracle.solve(), solve_result::unsatisfiable)
+                oracle.add_clause(std::span<const literal>{&f, 1});
+            EXPECT_EQ(oracle.solve({}), solve_result::unsatisfiable)
                 << "modern failed-assumption subset is not a reason";
         }
     }
@@ -662,10 +665,11 @@ TEST_P(preprocess_differential, verdicts_and_models_agree_with_legacy)
     const uint32_t num_clauses = num_vars * 2 + rng() % (num_vars * 2);
     const auto clauses = random_cnf(rng, num_vars, num_clauses);
 
-    auto modern = build(sat_engine::modern, true, num_vars, clauses);
-    auto legacy = build(sat_engine::legacy, false, num_vars, clauses);
+    auto modern = load(solver{sat_params{.preprocess = true}}, num_vars,
+                       clauses);
+    auto legacy = load(legacy_solver{}, num_vars, clauses);
 
-    const auto vl = legacy.solve();
+    const auto vl = legacy.solve({});
     // Two assumption-free solves: the second runs on the preprocessed DB.
     for (int round = 0; round < 2; ++round) {
         const auto vm = modern.solve();

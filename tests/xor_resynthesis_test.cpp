@@ -1,4 +1,4 @@
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "core/xor_resynthesis.h"
 #include "gen/arithmetic.h"
 #include "gen/hashes.h"
@@ -96,7 +96,8 @@ TEST(xor_resynthesis_pass, after_mc_rewrite_on_adder)
     // The paper's pipeline leaves XOR-heavy affine interfaces behind; the
     // resynthesis pass must clean them up without touching the AND optimum.
     auto net = gen_adder(16);
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     const auto ands = net.num_ands();
     const auto golden = cleanup(net);
 

@@ -191,8 +191,6 @@ void write_report(const std::string& path, const std::string& input,
     }
     std::fprintf(f, "{\n  \"tool\": \"mcx\",\n  \"flow\": \"%s\",\n",
                  result.flow_name.c_str());
-    std::fprintf(f, "  \"sat_engine\": \"%s\",\n",
-                 sat::engine_name(sat::default_engine()));
     std::fprintf(f, "  \"input\": \"%s\",\n", json_escape(input).c_str());
     std::fprintf(f, "  ");
     json_xag_stats(f, "before", result.before);
@@ -397,8 +395,6 @@ void usage(FILE* out)
         "                          engine; output is bit-identical for any\n"
         "                          n >= 1 — see docs/parallel.md).  Default:\n"
         "                          the classic sequential loop\n"
-        "  --no-batch              disable batched cone simulation (A/B)\n"
-        "  --classify-baseline     use the scalar affine classifier (A/B)\n"
         "  --incremental-cuts <m>  on (default) | off: maintain cut sets\n"
         "                          incrementally across rounds vs. full\n"
         "                          re-enumeration every round (A/B; output\n"
@@ -411,11 +407,6 @@ void usage(FILE* out)
         "  --sat-commits <m>       on | off (default): SAT-check every\n"
         "                          replacement cone at commit time on a warm\n"
         "                          persistent solver (docs/robustness.md)\n"
-        "  --sat-engine <e>        modern (default) | legacy: CDCL core for\n"
-        "                          every SAT consumer — exact synthesis,\n"
-        "                          equivalence checking, commit verification\n"
-        "                          (docs/sat.md; verdicts and AND counts are\n"
-        "                          engine-independent)\n"
         "\n"
         "resource limits (docs/robustness.md):\n"
         "  --deadline <sec>        wall-clock budget for the whole flow; on\n"
@@ -570,10 +561,7 @@ int main(int argc, char** argv)
             }
             opt.params.num_threads = n;
         }
-        else if (arg == "--no-batch") {
-            opt.params.rewrite.batched_simulation = false;
-            opt.params.size_rewrite.batched_simulation = false;
-        } else if (arg == "--incremental-cuts") {
+        else if (arg == "--incremental-cuts") {
             const std::string mode = next();
             if (mode != "on" && mode != "off") {
                 std::fprintf(stderr,
@@ -605,20 +593,7 @@ int main(int argc, char** argv)
             }
             opt.params.rewrite.sat_verify_commits = mode == "on";
             opt.params.size_rewrite.sat_verify_commits = mode == "on";
-        } else if (arg == "--sat-engine") {
-            const std::string mode = next();
-            if (mode != "modern" && mode != "legacy") {
-                std::fprintf(stderr,
-                             "error: --sat-engine needs modern|legacy, got "
-                             "'%s'\n",
-                             mode.c_str());
-                return exit_usage;
-            }
-            sat::set_default_engine(mode == "legacy" ? sat::sat_engine::legacy
-                                                     : sat::sat_engine::modern);
-        } else if (arg == "--classify-baseline")
-            opt.params.rewrite.classification_word_parallel = false;
-        else if (arg == "--deadline")
+        } else if (arg == "--deadline")
             opt.deadline_seconds = next_seconds();
         else if (arg == "--pass-deadline")
             opt.pass_deadline_seconds = next_seconds();
