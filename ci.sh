@@ -155,6 +155,10 @@ grep -q '"db"' FLOW_smoke_gen.json || {
     echo "ci.sh: flow report lacks the per-pass db block" >&2
     exit 1
 }
+grep -q '"cone_nodes_visited"' FLOW_smoke_gen.json || {
+    echo "ci.sh: flow report lacks the per-round cone counters" >&2
+    exit 1
+}
 python3 -c 'import json; json.load(open("FLOW_smoke_gen.json"))'
 
 # --progress writes periodic status to stderr only; the report and the
@@ -322,17 +326,21 @@ cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
     GTEST_FILTER='robustness.stopped_token_unblocks_waiter_on_stuck_builder:robustness.fault_matrix_verified_network_or_typed_error' \
         ctest -R robustness_test --output-on-failure)
 
-# Address+UB sanitizer job over the SAT core: the arena with its
-# relocation GC, the binary-watcher encoding, and the preprocessor's
-# clause surgery are exactly the kind of raw-index pointer arithmetic
-# ASan exists for.  The full sat_test suite — the production core, the
-# differential fuzz against the legacy solver from mcx_oracles,
-# preprocessing units — runs under ASan+UBSan.
+# Address+UB sanitizer job over the SAT core and the batched cone
+# simulator: the arena with its relocation GC, the binary-watcher
+# encoding, the preprocessor's clause surgery, and the simulator's slot
+# sentinel and lane-pool indexing are exactly the kind of raw-index
+# pointer arithmetic ASan exists for (TSan does not check heap bounds).
+# The full sat_test suite — the production core, the differential fuzz
+# against the legacy solver from mcx_oracles, preprocessing units — and
+# pass_test's cone_simulator cases run under ASan+UBSan.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build build-asan -j"$(nproc)" --target sat_test
-(cd build-asan && ctest -R sat_test --output-on-failure)
+cmake --build build-asan -j"$(nproc)" --target sat_test pass_test
+(cd build-asan && ctest -R sat_test --output-on-failure &&
+    GTEST_FILTER='cone_simulator.*' \
+        ctest -R pass_test --output-on-failure)
 
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \

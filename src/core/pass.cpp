@@ -566,6 +566,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     auto& pool = ctx.pool(num_threads);
     const auto workers = pool.num_workers();
     uint64_t shard_hits0 = 0, shard_misses0 = 0;
+    uint64_t traversals0 = 0, visited0 = 0;
     for (uint32_t w = 0; w < workers; ++w) {
         auto& sc = ctx.scratch(w); // created before the team needs it
         sc.cuts_evaluated = 0;
@@ -574,6 +575,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         const auto [h, m] = strat.scratch_traffic(sc);
         shard_hits0 += h;
         shard_misses0 += m;
+        traversals0 += sc.simulator.traversals();
+        visited0 += sc.simulator.nodes_evaluated();
     }
 
     // ---- phase 1: parallel evaluate over the frozen network — but only
@@ -619,7 +622,11 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         stats.cuts_evaluated += sc.cuts_evaluated;
         stats.classify_failures += sc.classify_failures;
         stats.candidates_built += sc.candidates_built;
+        stats.cone_traversals += sc.simulator.traversals();
+        stats.cone_nodes_visited += sc.simulator.nodes_evaluated();
     }
+    stats.cone_traversals -= traversals0;
+    stats.cone_nodes_visited -= visited0;
 
     // A stop during evaluate discards the whole round before anything is
     // committed: a partially-scored winner array would make the committed
@@ -760,6 +767,11 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.xors_before = network.num_xors();
     const auto [cache_hits0, cache_misses0] = strat.cache_traffic();
     const auto [db_hits0, db_misses0] = strat.db_traffic();
+    // The context's simulator serves the sequential loop and every
+    // candidate check; the two-phase engine adds its workers' own.
+    const auto& sim = ctx.simulator();
+    const auto traversals0 = sim.traversals();
+    const auto visited0 = sim.nodes_evaluated();
     uint64_t verify_checks0 = 0, verify_conflicts0 = 0, verify_warm0 = 0;
     if (sat_verify) {
         const auto& v = ctx.commit_verifier();
@@ -864,6 +876,8 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.canon_cache_misses += cache_misses1 - cache_misses0;
     stats.db_hits = db_hits1 - db_hits0;
     stats.db_misses = db_misses1 - db_misses0;
+    stats.cone_traversals += sim.traversals() - traversals0;
+    stats.cone_nodes_visited += sim.nodes_evaluated() - visited0;
     if (sat_verify) {
         const auto& v = ctx.commit_verifier();
         stats.sat_verifications = v.checks() - verify_checks0;
@@ -880,11 +894,17 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         obs::register_metric("rewrite.nodes_evaluated");
     static const auto clean_metric =
         obs::register_metric("rewrite.nodes_clean");
+    static const auto traversals_metric =
+        obs::register_metric("cone.traversals");
+    static const auto visited_metric =
+        obs::register_metric("cone.nodes_visited");
     rounds_metric.add();
     replacements_metric.add(stats.replacements);
     cuts_metric.add(stats.cuts_evaluated);
     evaluated_metric.add(stats.nodes_evaluated);
     clean_metric.add(stats.nodes_clean);
+    traversals_metric.add(stats.cone_traversals);
+    visited_metric.add(stats.cone_nodes_visited);
     round_span.set_arg(stats.replacements);
     // A round cut short (deadline, cancellation, fault) leaves a marker at
     // the exact spot in the timeline; to_string yields a literal, which is

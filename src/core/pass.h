@@ -129,6 +129,12 @@ struct round_stats {
     /// round reports nodes_evaluated == 0.
     uint64_t nodes_evaluated = 0;
     uint64_t nodes_clean = 0;
+    /// Cone-simulation work this round: union-cone traversals run and the
+    /// nodes they visited, summed over every simulator the round used (the
+    /// context's, plus the two-phase engine's per-worker ones).  Their
+    /// ratio is the mean cone size a traversal walked.
+    uint64_t cone_traversals = 0;
+    uint64_t cone_nodes_visited = 0;
     /// Commit-time SAT verification traffic (sat_verify_commits only).
     uint64_t sat_verifications = 0;
     uint64_t sat_conflicts = 0;

@@ -10,12 +10,23 @@ namespace mcx {
 
 void cone_simulator::ensure_size(size_t num_nodes)
 {
-    if (leaf_epoch_.size() < num_nodes) {
-        leaf_epoch_.resize(num_nodes, 0);
-        leaf_mask_.resize(num_nodes, 0);
-        visit_epoch_.resize(num_nodes, 0);
-        slot_.resize(num_nodes, 0);
+    // No record outlives its traversal, so growth releases the old array
+    // before allocating the new one: peak memory never holds both copies.
+    if (state_.capacity() < num_nodes) {
+        const auto capacity = std::max(num_nodes, 2 * state_.capacity());
+        state_ = {};
+        state_.reserve(capacity);
     }
+    if (state_.size() < num_nodes)
+        state_.resize(num_nodes, node_state{0, 0, 0, unvisited});
+}
+
+cone_simulator::node_state& cone_simulator::touch(uint32_t n)
+{
+    auto& s = state_[n];
+    if (s.epoch != epoch_)
+        s = node_state{epoch_, 0, 0, unvisited};
+    return s;
 }
 
 uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
@@ -27,73 +38,102 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
         C >= 32 ? ~0u : ((1u << C) - 1);
     ensure_size(net.size());
     if (epoch_ == UINT32_MAX) { // stamp wrap: invalidate everything once
-        std::fill(leaf_epoch_.begin(), leaf_epoch_.end(), 0u);
-        std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
+        for (auto& s : state_)
+            s.epoch = 0;
         epoch_ = 0;
     }
-    ++epoch_; // one epoch serves both leaf stamps and visit stamps
+    ++epoch_;
     ++traversals_;
+    std::fill(out.begin(), out.end(), uint64_t{0});
 
-    // Stamp leaf membership: leaf_mask_[l] = lanes where l is a leaf.
+    // Lanes over the single-word limit are invalid up front: they stamp no
+    // leaves and reach nothing, so no projection index ever exceeds 5.
+    uint32_t live = full;
+    for (uint32_t j = 0; j < C; ++j)
+        if (cuts[j].size() > 6)
+            live &= ~(1u << j);
+    if (live == 0)
+        return 0;
+
+    // Stamp leaf membership: leaf = lanes where the node is a leaf.
     for (uint32_t j = 0; j < C; ++j) {
+        if (((live >> j) & 1) == 0)
+            continue;
         for (const auto l : cuts[j]) {
-            if (l >= leaf_mask_.size())
+            if (l >= net.size())
                 throw std::invalid_argument{"cone_simulator: bad leaf id"};
-            if (leaf_epoch_[l] != epoch_) {
-                leaf_epoch_[l] = epoch_;
-                leaf_mask_[l] = 0;
-            }
-            leaf_mask_[l] |= 1u << j;
+            touch(l).leaf |= 1u << j;
         }
     }
-    const auto leaves_of = [&](uint32_t n) -> uint32_t {
-        return leaf_epoch_[n] == epoch_ ? leaf_mask_[n] : 0;
+    const auto expands = [&](uint32_t n, const node_state& s) {
+        return (s.reach & ~s.leaf) != 0 && net.is_gate(n);
     };
 
-    // Iterative post-order DFS of the union cone: expand a gate's fanins
-    // unless it is a leaf in every lane.
-    order_.clear();
+    // Reach pass (worklist): a gate hands the lanes it is interior to down
+    // to both fanins; a node is re-pushed only when its mask gains a lane.
     stack_.clear();
+    touch(root).reach = live;
+    stack_.push_back(root);
+    while (!stack_.empty()) {
+        const auto n = static_cast<uint32_t>(stack_.back());
+        stack_.pop_back();
+        const auto& s = state_[n];
+        if (!expands(n, s))
+            continue;
+        const uint32_t down = s.reach & ~s.leaf;
+        for (const auto f : {net.fanin0(n).node(), net.fanin1(n).node()}) {
+            auto& t = touch(f);
+            if ((down & ~t.reach) != 0) {
+                t.reach |= down;
+                stack_.push_back(f);
+            }
+        }
+    }
+
+    // Iterative post-order DFS of the union of the lane cones; a node's
+    // slot is its post-order index.
+    order_.clear();
     stack_.push_back(uint64_t{root} << 1);
     while (!stack_.empty()) {
         const auto top = stack_.back();
         stack_.pop_back();
         const auto n = static_cast<uint32_t>(top >> 1);
+        auto& s = state_[n];
         if (top & 1) { // children done: emit
+            s.slot = static_cast<uint32_t>(order_.size());
             order_.push_back(n);
             continue;
         }
-        if (visit_epoch_[n] == epoch_)
+        if (s.slot != unvisited)
             continue; // already scheduled or emitted
-        visit_epoch_[n] = epoch_;
+        s.slot = scheduled;
         stack_.push_back(top | 1);
-        if (net.is_gate(n) && leaves_of(n) != full) {
+        if (expands(n, s)) {
             const auto n0 = net.fanin0(n).node();
             const auto n1 = net.fanin1(n).node();
-            if (visit_epoch_[n0] != epoch_)
+            if (state_[n0].slot == unvisited)
                 stack_.push_back(uint64_t{n0} << 1);
-            if (visit_epoch_[n1] != epoch_)
+            if (state_[n1].slot == unvisited)
                 stack_.push_back(uint64_t{n1} << 1);
         }
     }
 
-    // Evaluate in post-order; slot_[n] indexes the lane pool.
+    // Evaluate in post-order.
     lanes_.resize(order_.size() * C);
     fail_.resize(order_.size());
     nodes_evaluated_ += order_.size();
     for (uint32_t s = 0; s < order_.size(); ++s) {
         const auto n = order_[s];
-        slot_[n] = s;
+        const auto& st = state_[n];
         auto* v = lanes_.data() + static_cast<size_t>(s) * C;
-        const auto lm = leaves_of(n);
         uint32_t failed;
-        if (net.is_gate(n) && lm != full) {
+        if (expands(n, st)) {
             const auto f0 = net.fanin0(n);
             const auto f1 = net.fanin1(n);
-            const auto* a = lanes_.data() +
-                            static_cast<size_t>(slot_[f0.node()]) * C;
-            const auto* b = lanes_.data() +
-                            static_cast<size_t>(slot_[f1.node()]) * C;
+            const auto s0 = state_[f0.node()].slot;
+            const auto s1 = state_[f1.node()].slot;
+            const auto* a = lanes_.data() + static_cast<size_t>(s0) * C;
+            const auto* b = lanes_.data() + static_cast<size_t>(s1) * C;
             const uint64_t ca = f0.complemented() ? ~uint64_t{0} : 0;
             const uint64_t cb = f1.complemented() ? ~uint64_t{0} : 0;
             if (net.is_and(n)) {
@@ -103,21 +143,18 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
                 for (uint32_t j = 0; j < C; ++j)
                     v[j] = (a[j] ^ ca) ^ (b[j] ^ cb);
             }
-            failed = fail_[slot_[f0.node()]] | fail_[slot_[f1.node()]];
-        } else if (net.is_constant(n)) {
-            std::fill(v, v + C, uint64_t{0});
-            failed = 0;
+            failed = fail_[s0] | fail_[s1];
         } else {
-            // PI, or a gate that is a leaf in every lane: no intrinsic
-            // value.  A PI read by a lane it does not serve as a leaf makes
-            // that lane escape its boundary.
+            // Constant, PI, or a gate that is a leaf in every lane reaching
+            // it: no intrinsic value.  A PI reached by a lane it does not
+            // serve as a leaf makes that lane escape its boundary.
             std::fill(v, v + C, uint64_t{0});
-            failed = net.is_gate(n) ? 0 : full;
+            failed = net.is_pi(n) ? full : 0;
         }
         if (n == forbidden)
             failed = full;
         // Leaf lanes override with their projection word and never fail.
-        uint32_t pending = lm;
+        uint32_t pending = st.leaf;
         while (pending != 0) {
             const auto j = static_cast<uint32_t>(std::countr_zero(pending));
             pending &= pending - 1;
@@ -130,18 +167,12 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
         fail_[s] = failed;
     }
 
-    const auto root_slot = slot_[root];
+    const auto root_slot = state_[root].slot;
     const auto* rv = lanes_.data() + static_cast<size_t>(root_slot) * C;
-    uint32_t valid = full & ~fail_[root_slot];
-    for (uint32_t j = 0; j < C; ++j) {
-        const auto k = static_cast<uint32_t>(cuts[j].size());
-        if (k > 6) { // single-word limit; cuts never exceed 6 leaves
-            valid &= ~(1u << j);
-            out[j] = 0;
-            continue;
-        }
-        out[j] = rv[j] & tt_mask(k);
-    }
+    const uint32_t valid = live & ~fail_[root_slot];
+    for (uint32_t j = 0; j < C; ++j)
+        if ((live >> j) & 1)
+            out[j] = rv[j] & tt_mask(static_cast<uint32_t>(cuts[j].size()));
     return valid;
 }
 

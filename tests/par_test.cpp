@@ -260,22 +260,33 @@ TEST(sharded_database, builder_exception_releases_the_slot)
 
 // ------------------------------------------- two-phase round determinism
 
-/// Optimize through the two-phase engine at `threads` workers and return
-/// (serialized network, total replacements).
-std::pair<std::string, uint64_t> optimize(xag net, uint32_t threads,
-                                          flow_params params = {},
-                                          const char* spec = "mc+xor")
+/// What a two-phase optimization produced: the serialized network and the
+/// round counters summed over every rewrite round.
+struct optimized {
+    std::string net;
+    uint64_t replacements = 0;
+    uint64_t cone_traversals = 0;
+    uint64_t cone_nodes_visited = 0;
+};
+
+/// Optimize through the two-phase engine at `threads` workers.
+optimized optimize(xag net, uint32_t threads, flow_params params = {},
+                   const char* spec = "mc+xor")
 {
     params.num_threads = threads;
     pass_context ctx{context_params(params)};
     const auto result = run_flow(net, make_flow(spec, params), ctx);
-    uint64_t replacements = 0;
+    optimized out;
     for (const auto& p : result.passes)
-        for (const auto& r : p.rounds)
-            replacements += r.replacements;
+        for (const auto& r : p.rounds) {
+            out.replacements += r.replacements;
+            out.cone_traversals += r.cone_traversals;
+            out.cone_nodes_visited += r.cone_nodes_visited;
+        }
     std::ostringstream os;
     write_bench(cleanup(net), os);
-    return {os.str(), replacements};
+    out.net = os.str();
+    return out;
 }
 
 void expect_thread_count_invariant(const xag& source,
@@ -284,16 +295,23 @@ void expect_thread_count_invariant(const xag& source,
                                    const char* spec = "mc+xor")
 {
     const auto golden = cleanup(source);
-    const auto [net1, repl1] = optimize(cleanup(source), 1, params, spec);
-    const auto [net2, repl2] = optimize(cleanup(source), 2, params, spec);
-    const auto [net8, repl8] = optimize(cleanup(source), 8, params, spec);
-    EXPECT_EQ(net1, net2) << what << ": 2 threads diverged";
-    EXPECT_EQ(net1, net8) << what << ": 8 threads diverged";
-    EXPECT_EQ(repl1, repl2) << what;
-    EXPECT_EQ(repl1, repl8) << what;
+    const auto one = optimize(cleanup(source), 1, params, spec);
+    const auto two = optimize(cleanup(source), 2, params, spec);
+    const auto eight = optimize(cleanup(source), 8, params, spec);
+    EXPECT_EQ(one.net, two.net) << what << ": 2 threads diverged";
+    EXPECT_EQ(one.net, eight.net) << what << ": 8 threads diverged";
+    EXPECT_EQ(one.replacements, two.replacements) << what;
+    EXPECT_EQ(one.replacements, eight.replacements) << what;
+    // Cone work is a function of the scored node set, so the per-worker
+    // simulators' counts must sum to the same totals at any thread count.
+    EXPECT_GT(one.cone_traversals, 0u) << what;
+    EXPECT_EQ(one.cone_traversals, two.cone_traversals) << what;
+    EXPECT_EQ(one.cone_traversals, eight.cone_traversals) << what;
+    EXPECT_EQ(one.cone_nodes_visited, two.cone_nodes_visited) << what;
+    EXPECT_EQ(one.cone_nodes_visited, eight.cone_nodes_visited) << what;
 
     // And the deterministic result is still the right function.
-    std::istringstream is{net1};
+    std::istringstream is{one.net};
     const auto reparsed = read_bench(is);
     if (golden.num_pis() <= 16)
         EXPECT_TRUE(exhaustive_equal(reparsed, golden)) << what;

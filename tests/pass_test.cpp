@@ -4,6 +4,7 @@
 #include "core/pass.h"
 #include "cut/cut_enumeration.h"
 #include "gen/arithmetic.h"
+#include "gen/control.h"
 #include "spectral/classification.h"
 #include "tt/operations.h"
 #include "xag/cleanup.h"
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <set>
@@ -129,33 +131,246 @@ TEST(round_stats_audit, per_round_counters_are_independent)
               r1.cuts_evaluated);
 }
 
+TEST(round_stats_audit, cone_counters_are_per_round_deltas)
+{
+    // Cone work is a function of the network alone, so one round on two
+    // copies of a network through one context must report equal counts —
+    // per-round deltas, not the simulators' lifetime totals.  Both
+    // engines; thread-count invariance is par_test's.
+    pass_context ctx;
+    for (const uint32_t threads : {0u, 1u}) {
+        rewrite_params params;
+        params.num_threads = threads;
+        auto first = gen_adder(16);
+        auto second = gen_adder(16);
+        const auto r1 = mc_rewrite_round(first, ctx, params);
+        const auto r2 = mc_rewrite_round(second, ctx, params);
+        EXPECT_GE(r1.cone_traversals, r1.nodes_evaluated) << threads;
+        EXPECT_GT(r1.cone_nodes_visited, r1.cone_traversals) << threads;
+        EXPECT_EQ(r2.cone_traversals, r1.cone_traversals) << threads;
+        EXPECT_EQ(r2.cone_nodes_visited, r1.cone_nodes_visited) << threads;
+    }
+}
+
 // -------------------------------------------------- batched cone simulator
+
+/// Reference candidate check: DFS containment (the cone must stop at
+/// `leaves` and must not contain `forbidden`) plus per-cut cone_function.
+std::optional<uint64_t> reference_cone_word(const xag& net, uint32_t root,
+                                            std::span<const uint32_t> leaves,
+                                            uint32_t forbidden = UINT32_MAX)
+{
+    std::vector<uint32_t> stack{root};
+    std::set<uint32_t> visited(leaves.begin(), leaves.end());
+    while (!stack.empty()) {
+        const auto n = stack.back();
+        stack.pop_back();
+        if (!visited.insert(n).second)
+            continue;
+        if (n == forbidden)
+            return std::nullopt;
+        if (!net.is_gate(n))
+            continue;
+        stack.push_back(net.fanin0(n).node());
+        stack.push_back(net.fanin1(n).node());
+    }
+    try {
+        return cone_function(net, root, leaves).word();
+    } catch (const std::invalid_argument&) {
+        return std::nullopt;
+    }
+}
+
+/// Nodes a per-cut DFS from `root` visits before it stops at `leaves` (or
+/// at PIs and the constant), leaves included.
+size_t reference_cone_size(const xag& net, uint32_t root,
+                           std::span<const uint32_t> leaves)
+{
+    std::vector<uint32_t> stack{root};
+    std::set<uint32_t> visited;
+    while (!stack.empty()) {
+        const auto n = stack.back();
+        stack.pop_back();
+        if (!visited.insert(n).second)
+            continue;
+        if (!net.is_gate(n) ||
+            std::find(leaves.begin(), leaves.end(), n) != leaves.end())
+            continue;
+        stack.push_back(net.fanin0(n).node());
+        stack.push_back(net.fanin1(n).node());
+    }
+    return visited.size();
+}
+
+/// Every enumerated cut of every live gate must simulate to its
+/// cone_function word.
+void expect_matches_cone_function(const xag& net, cone_simulator& sim)
+{
+    const auto sets = enumerate_cuts(net, {.cut_size = 6, .cut_limit = 8});
+    std::vector<cone_simulator::leaf_set> leaves;
+    std::vector<uint64_t> words;
+    for (const auto n : net.topological_order()) {
+        if (!net.is_gate(n))
+            continue;
+        leaves.clear();
+        for (const auto& c : sets[n])
+            leaves.emplace_back(c.leaf_span().begin(), c.leaf_span().end());
+        const auto valid = sim.simulate_cuts(net, n, leaves, words);
+        for (size_t i = 0; i < leaves.size(); ++i) {
+            ASSERT_TRUE((valid >> i) & 1)
+                << "enumerated cut must be simulable";
+            const auto expected = cone_function(net, n, leaves[i]);
+            ASSERT_EQ(words[i], expected.word())
+                << "node " << n << " cut " << i;
+        }
+    }
+}
+
+/// True when some live gate reads a fanin with a larger id — the shape
+/// substitute() leaves behind, where an id-ordered sweep is not
+/// topological.
+bool has_non_topological_ids(const xag& net)
+{
+    for (const auto n : net.topological_order())
+        if (net.is_gate(n) &&
+            (net.fanin0(n).node() > n || net.fanin1(n).node() > n))
+            return true;
+    return false;
+}
 
 TEST(cone_simulator, matches_cone_function_on_enumerated_cuts)
 {
-    for (const uint64_t seed : {21u, 22u, 23u}) {
-        const auto net = random_network(seed, 7, 90, 4);
-        const auto sets = enumerate_cuts(net, {.cut_size = 6, .cut_limit = 8});
-        cone_simulator sim;
-        std::vector<cone_simulator::leaf_set> leaves;
-        std::vector<uint64_t> words;
-        for (const auto n : net.topological_order()) {
-            if (!net.is_gate(n))
-                continue;
-            leaves.clear();
-            for (const auto& c : sets[n])
-                leaves.emplace_back(c.leaf_span().begin(),
-                                    c.leaf_span().end());
-            const auto valid = sim.simulate_cuts(net, n, leaves, words);
-            for (size_t i = 0; i < leaves.size(); ++i) {
-                ASSERT_TRUE((valid >> i) & 1)
-                    << "enumerated cut must be simulable";
-                const auto expected = cone_function(net, n, leaves[i]);
-                ASSERT_EQ(words[i], expected.word())
-                    << "node " << n << " cut " << i;
-            }
+    // One simulator across every network: stamps left by a larger or
+    // differently-numbered network must never leak into the next.
+    cone_simulator sim;
+    for (const uint64_t seed : {21u, 22u, 23u})
+        expect_matches_cone_function(random_network(seed, 7, 90, 4), sim);
+
+    // Networks after 1-3 rewriting rounds: a replacement's new nodes sit at
+    // higher ids than the fanouts they now feed.
+    bool saw_non_topological = false;
+    xag rewritten;
+    pass_context ctx;
+    for (auto net : {gen_adder(8), gen_voter(9)}) {
+        for (int round = 0; round < 3; ++round) {
+            if (mc_rewrite_round(net, ctx).replacements == 0)
+                break;
+            saw_non_topological |= has_non_topological_ids(net);
+            expect_matches_cone_function(net, sim);
+        }
+        rewritten = net;
+    }
+    EXPECT_TRUE(saw_non_topological);
+
+    // More than max_lanes lanes on one root: the request is chunked across
+    // run_chunk calls.  Enumerated cuts are interleaved with a lane whose
+    // cone escapes through the root's second fanin.
+    const auto sets =
+        enumerate_cuts(rewritten, {.cut_size = 6, .cut_limit = 8});
+    uint32_t root = 0;
+    for (const auto n : rewritten.topological_order())
+        if (rewritten.is_gate(n) && sets[n].size() > sets[root].size())
+            root = n;
+    ASSERT_NE(root, 0u);
+    std::vector<cone_simulator::leaf_set> leaves;
+    for (size_t i = 0; i < 40; ++i) {
+        if (i % 5 == 4) {
+            leaves.push_back({rewritten.fanin0(root).node()});
+        } else {
+            const auto c = sets[root][i % sets[root].size()].leaf_span();
+            leaves.emplace_back(c.begin(), c.end());
         }
     }
+    ASSERT_GT(leaves.size(), size_t{cone_simulator::max_lanes});
+    std::vector<uint64_t> words;
+    const auto valid = sim.simulate_cuts(rewritten, root, leaves, words);
+    size_t invalid = 0;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+        const auto expected = reference_cone_word(rewritten, root, leaves[i]);
+        ASSERT_EQ(((valid >> i) & 1) != 0, expected.has_value())
+            << "lane " << i;
+        if (expected)
+            EXPECT_EQ(words[i], *expected) << "lane " << i;
+        else
+            ++invalid;
+    }
+    EXPECT_EQ(invalid, 8u);
+}
+
+TEST(cone_simulator, work_is_bounded_by_lane_cones_on_a_deep_chain)
+{
+    // A 1024-bit ripple-carry adder is thousands of levels deep.  A
+    // traversal that walked the root's whole fan-in would cost O(depth)
+    // per call; the lanes' own cones stay a handful of nodes each.  The
+    // bound is a count, so it is independent of the host.
+    const auto net = gen_adder(1024);
+    const auto sets = enumerate_cuts(net);
+    cone_simulator sim;
+    std::vector<cone_simulator::leaf_set> leaves;
+    std::vector<uint64_t> words;
+    uint64_t checked = 0;
+    for (const auto n : net.topological_order()) {
+        if (!net.is_gate(n))
+            continue;
+        leaves.clear();
+        size_t bound = 0;
+        for (const auto& c : sets[n]) {
+            leaves.emplace_back(c.leaf_span().begin(), c.leaf_span().end());
+            bound += reference_cone_size(net, n, leaves.back());
+        }
+        const auto before = sim.nodes_evaluated();
+        sim.simulate_cuts(net, n, leaves, words);
+        ASSERT_LE(sim.nodes_evaluated() - before, bound) << "node " << n;
+        ++checked;
+    }
+    EXPECT_GT(checked, 4096u);
+}
+
+TEST(cone_simulator, oversized_leaf_set_fails_only_its_own_lane)
+{
+    // root = (((((x0 & x1) ^ x2) & x3) ^ x4) & x5) ^ x6
+    xag net;
+    std::vector<uint32_t> x;
+    std::vector<signal> pis;
+    for (int i = 0; i < 7; ++i) {
+        pis.push_back(net.create_pi());
+        x.push_back(pis.back().node());
+    }
+    std::vector<uint32_t> chain;
+    auto acc = pis[0];
+    for (int i = 1; i < 7; ++i) {
+        acc = (i % 2) != 0 ? net.create_and(acc, pis[i])
+                           : net.create_xor(acc, pis[i]);
+        chain.push_back(acc.node());
+    }
+    net.create_po(acc);
+    const auto root = acc.node();
+    const auto sorted = [](std::vector<uint32_t> v) {
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+
+    const std::vector<cone_simulator::leaf_set> good{
+        sorted({chain[4], x[6]}), sorted({chain[3], x[5], x[6]}),
+        sorted({chain[1], x[3], x[4], x[5], x[6]}),
+        sorted({chain[0], x[2], x[3], x[4], x[5], x[6]})};
+    auto mixed = good;
+    mixed.insert(mixed.begin() + 2, x); // all seven PIs: a real cut, k = 7
+
+    cone_simulator sim;
+    std::vector<uint64_t> good_words, mixed_words;
+    const auto good_valid = sim.simulate_cuts(net, root, good, good_words);
+    ASSERT_EQ(good_valid, 0b1111u);
+    for (size_t i = 0; i < good.size(); ++i)
+        EXPECT_EQ(good_words[i], cone_function(net, root, good[i]).word());
+
+    const auto mixed_valid = sim.simulate_cuts(net, root, mixed, mixed_words);
+    EXPECT_EQ(mixed_valid, 0b11011u);
+    EXPECT_EQ(mixed_words[2], 0u);
+    for (size_t i = 0; i < good.size(); ++i)
+        EXPECT_EQ(mixed_words[i < 2 ? i : i + 1], good_words[i])
+            << "cut " << i;
+    EXPECT_FALSE(sim.cone_word(net, root, x));
 }
 
 TEST(cone_simulator, flags_cone_escape_and_forbidden_nodes)
@@ -183,33 +398,6 @@ TEST(cone_simulator, flags_cone_escape_and_forbidden_nodes)
                                std::vector<uint32_t>{a.node(), b.node(),
                                                      c.node()},
                                ab.node()));
-}
-
-/// Reference candidate check: DFS containment (the cone must stop at
-/// `leaves` and must not contain `forbidden`) plus per-cut cone_function.
-std::optional<uint64_t> reference_cone_word(const xag& net, uint32_t root,
-                                            std::span<const uint32_t> leaves,
-                                            uint32_t forbidden)
-{
-    std::vector<uint32_t> stack{root};
-    std::set<uint32_t> visited(leaves.begin(), leaves.end());
-    while (!stack.empty()) {
-        const auto n = stack.back();
-        stack.pop_back();
-        if (!visited.insert(n).second)
-            continue;
-        if (n == forbidden)
-            return std::nullopt;
-        if (!net.is_gate(n))
-            continue;
-        stack.push_back(net.fanin0(n).node());
-        stack.push_back(net.fanin1(n).node());
-    }
-    try {
-        return cone_function(net, root, leaves).word();
-    } catch (const std::invalid_argument&) {
-        return std::nullopt;
-    }
 }
 
 /// The mc rounds' splice: representative circuit behind the affine input

@@ -238,6 +238,8 @@ void write_report(const std::string& path, const std::string& input,
                     "\"cut_nodes_reenumerated\": %llu, "
                     "\"cut_nodes_clean\": %llu, "
                     "\"nodes_evaluated\": %llu, \"nodes_clean\": %llu, "
+                    "\"cone_traversals\": %llu, "
+                    "\"cone_nodes_visited\": %llu, "
                     "\"sat_verifications\": %llu, \"sat_conflicts\": %llu, "
                     "\"sat_warm_starts\": %llu, "
                     "\"canon_cache_hit_rate\": %.4f, \"db_hits\": %llu, "
@@ -253,6 +255,8 @@ void write_report(const std::string& path, const std::string& input,
                         rs.cut_stats.clean_nodes),
                     static_cast<unsigned long long>(rs.nodes_evaluated),
                     static_cast<unsigned long long>(rs.nodes_clean),
+                    static_cast<unsigned long long>(rs.cone_traversals),
+                    static_cast<unsigned long long>(rs.cone_nodes_visited),
                     static_cast<unsigned long long>(rs.sat_verifications),
                     static_cast<unsigned long long>(rs.sat_conflicts),
                     static_cast<unsigned long long>(rs.sat_warm_starts),
