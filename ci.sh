@@ -113,6 +113,16 @@ grep -q '"threads": 4' FLOW_smoke_par.json || {
     echo "ci.sh: FLOW_smoke_par.json lacks the per-pass thread count" >&2
     exit 1
 }
+# adder16 never fills the XOR pass's Σwidth² admission budget; simon:32's
+# linear blocks do, so this pins the admitted rows to the input alone.
+./build/tools/mcx --flow xor --threads 4 gen:simon:32 \
+    -o build/simon32_xor4.bench
+./build/tools/mcx --flow xor --threads 1 gen:simon:32 \
+    -o build/simon32_xor1.bench
+cmp build/simon32_xor4.bench build/simon32_xor1.bench || {
+    echo "ci.sh: simon:32 XOR pass at --threads 4 differs from --threads 1" >&2
+    exit 1
+}
 
 # Observability smoke (docs/observability.md).  --trace must emit a
 # Perfetto-loadable Chrome trace-event JSON with the flow/pass/round/phase

@@ -20,7 +20,7 @@ std::shared_ptr<const pass> make_pass(std::string_view token,
         return std::make_shared<size_rewrite_pass>(params.size_rewrite,
                                                    params.max_rounds);
     if (token == "xor")
-        return std::make_shared<xor_resynthesis_pass>(params.num_threads);
+        return std::make_shared<xor_resynthesis_pass>();
     if (token == "cleanup")
         return std::make_shared<cleanup_pass>();
     throw std::invalid_argument{"make_flow: unknown pass '" +

@@ -1164,13 +1164,7 @@ pass_stats xor_resynthesis_pass::run(xag& network, pass_context& ctx) const
     pass_stats ps;
     ps.pass_name = name();
     ps.before = stats_of(network);
-    xor_resynthesis_params xp;
-    xp.token = ctx.token;
-    if (num_threads_ >= 1) {
-        xp.pool = &ctx.pool(num_threads_);
-        ps.num_threads = num_threads_;
-    }
-    const auto stats = xor_resynthesis(network, xp);
+    const auto stats = xor_resynthesis(network, {.token = ctx.token});
     ps.xor_blocks = stats.blocks;
     ps.xor_pairs_extracted = stats.pairs_extracted;
     ps.status = stats.status;

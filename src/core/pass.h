@@ -368,22 +368,13 @@ private:
     uint32_t max_rounds_;
 };
 
-/// Paar-style resynthesis of maximal linear (XOR-only) blocks.  With
-/// `num_threads >= 1` the quadratic pair-count seeding runs on the
-/// context's worker pool and the admission budget scales with the team
-/// (xor_resynthesis_params::pairing_work_budget).
+/// Paar-style resynthesis of maximal linear (XOR-only) blocks
+/// (core/xor_resynthesis.h).  Sequential at every --threads value, and its
+/// output depends on the network alone; it reports 1 thread.
 class xor_resynthesis_pass final : public pass {
 public:
-    xor_resynthesis_pass() = default;
-    explicit xor_resynthesis_pass(uint32_t num_threads)
-        : num_threads_{num_threads}
-    {
-    }
     std::string_view name() const override { return "xor-resynthesis"; }
     pass_stats run(xag& network, pass_context& ctx) const override;
-
-private:
-    uint32_t num_threads_ = 0;
 };
 
 /// Rebuild a compacted, freshly strashed copy of the network.

@@ -3,12 +3,14 @@
 #include "core/mffc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <iterator>
 #include <optional>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,11 +30,10 @@ struct linear_row {
 /// Packed bitset rows over a dense term-id space (remapped terminal ids
 /// first, planned pair ids above them), one row per linear block that
 /// takes part in pair extraction.  Replaces the per-row std::set:
-/// membership is one bit test, the expander's XOR-cancellation is one
-/// flip, and the ascending iteration order the chain rebuild relies on
-/// falls out of the word scan.  All rows live in one flat pool sized
-/// once, and the same bits flow from the pairing loop into the chain
-/// rebuild — no per-step container churn.
+/// membership is one bit test, and the ascending iteration order the
+/// chain rebuild relies on falls out of the word scan.  All rows live in
+/// one flat pool sized once, and the same bits flow from the pairing loop
+/// into the chain rebuild — no per-step container churn.
 class packed_rows {
 public:
     packed_rows(size_t num_rows, size_t id_limit)
@@ -80,97 +81,78 @@ private:
     std::vector<uint64_t> pool_;
 };
 
-/// Expands XOR cones down to non-XOR terminals with cancellation (a
-/// terminal reached by an even number of paths vanishes).
-///
-/// A terminal's membership is the parity of the number of root-to-terminal
-/// paths, and the row constant is the parity of complemented-edge
-/// traversals over all paths — so instead of enumerating paths (the seed
-/// implementation, exponential on reconvergent XOR structure such as hash
-/// accumulators), propagate path-count parity through the cone in one
-/// topological sweep: each cone node is visited exactly once.  Terminal
-/// membership itself is one shared scratch bitset (flip on every arrival,
-/// survivors collected and reset afterwards) instead of set insert/erase.
-class linear_expander {
-public:
-    explicit linear_expander(const xag& net) : net_{net}
-    {
-        topo_index_.resize(net.size(), 0);
-        uint32_t i = 0;
-        for (const auto n : net.topological_order())
-            topo_index_[n] = ++i;
-        parity_.resize(net.size(), 0);
-        in_cone_.resize(net.size(), 0);
-        term_bit_.resize((net.size() + 63) / 64, 0);
-    }
+/// Rows join the pair extraction narrowest-first while the cumulative
+/// sum of width² stays within this bound: pair seeding is quadratic per
+/// row, and extraction cost tracks the same sum.  It admits every row of
+/// rewrite-scale circuits — 16-term and 200-term rows alike — while the
+/// widest accumulator rows of full-hash linear systems (MD5's run to
+/// ~4 500 terms, Σwidth² ≈ 8.5 · 10¹⁰) keep their existing trees.
+constexpr uint64_t pairing_work_budget = 2'000'000;
 
-    linear_row expand(uint32_t root)
-    {
-        linear_row row;
-        row.root = root;
+/// The rows of every block root (`is_root`), in ascending root id, built
+/// in one topological sweep: an XOR node's terms are the symmetric
+/// difference of its fanins' terms — a terminal (AND node or PI) stands
+/// for itself, node 0 for nothing — so a terminal reached along an even
+/// number of paths cancels; its constant is the XOR of its fanins'
+/// constants and edge complements.  A non-root row is released once its
+/// last XOR fanout has read it.
+std::vector<linear_row> build_rows(const xag& net,
+                                   const std::vector<uint8_t>& is_root)
+{
+    std::vector<uint32_t> slot(net.size(), 0); // XOR node -> rows index
+    std::vector<linear_row> rows;
+    for (uint32_t n = 0; n < net.size(); ++n)
+        if (net.is_xor(n) && !net.is_dead(n)) {
+            slot[n] = static_cast<uint32_t>(rows.size());
+            rows.push_back({n, {}, false});
+        }
+    std::vector<uint32_t> pending(rows.size(), 0); // XOR fanouts unswept
+    for (const auto& row : rows)
+        for (const auto fi : {net.fanin0(row.root), net.fanin1(row.root)})
+            if (net.is_xor(fi.node()))
+                ++pending[slot[fi.node()]];
+    const auto release_if_done = [&](uint32_t n) {
+        if (pending[slot[n]] == 0 && !is_root[n])
+            std::vector<uint32_t>{}.swap(rows[slot[n]].terms);
+    };
 
-        // Collect the XOR cone (root plus XOR nodes reachable through XOR
-        // fanins) once per root.
-        cone_.clear();
-        cone_.push_back(root);
-        in_cone_[root] = 1;
-        for (size_t i = 0; i < cone_.size(); ++i) {
-            for (const auto fi :
-                 {net_.fanin0(cone_[i]), net_.fanin1(cone_[i])}) {
-                const auto m = fi.node();
-                if (net_.is_xor(m) && !in_cone_[m]) {
-                    in_cone_[m] = 1;
-                    cone_.push_back(m);
-                }
+    std::vector<uint32_t> merged;
+    for (const auto n : net.topological_order()) {
+        if (!net.is_xor(n))
+            continue;
+        const std::array<signal, 2> fanins{net.fanin0(n), net.fanin1(n)};
+        std::array<uint32_t, 2> single{};
+        std::array<std::span<const uint32_t>, 2> terms;
+        bool constant = false;
+        for (size_t i = 0; i < 2; ++i) {
+            const auto m = fanins[i].node();
+            constant ^= fanins[i].complemented();
+            if (net.is_xor(m)) {
+                terms[i] = rows[slot[m]].terms;
+                constant ^= rows[slot[m]].constant;
+            } else if (m != 0) {
+                single[i] = m;
+                terms[i] = std::span{&single[i], 1};
             }
         }
-        // Fanins before fanouts globally, so descending topo index
-        // processes every node before its cone fanins.
-        std::sort(cone_.begin(), cone_.end(), [&](uint32_t a, uint32_t b) {
-            return topo_index_[a] > topo_index_[b];
-        });
-
-        touched_.clear();
-        parity_[root] = 1;
-        for (const auto n : cone_) {
-            const auto p = parity_[n];
-            parity_[n] = 0; // reset for the next expand() call
-            in_cone_[n] = 0;
-            if (p == 0)
-                continue;
-            for (const auto fi : {net_.fanin0(n), net_.fanin1(n)}) {
-                row.constant ^= fi.complemented();
-                const auto m = fi.node();
-                if (net_.is_xor(m)) {
-                    parity_[m] ^= 1;
-                } else if (m != 0) {
-                    // Terminal: AND node or PI (node 0 contributes nothing).
-                    term_bit_[m >> 6] ^= uint64_t{1} << (m & 63);
-                    touched_.push_back(m);
-                }
+        // Merged in scratch so each row is allocated at its exact size.
+        merged.clear();
+        std::set_symmetric_difference(terms[0].begin(), terms[0].end(),
+                                      terms[1].begin(), terms[1].end(),
+                                      std::back_inserter(merged));
+        rows[slot[n]].terms.assign(merged.begin(), merged.end());
+        rows[slot[n]].constant = constant;
+        for (const auto fi : fanins)
+            if (net.is_xor(fi.node())) {
+                --pending[slot[fi.node()]];
+                release_if_done(fi.node());
             }
-        }
-        // Survivors (odd path parity) in ascending order; reset the scratch.
-        std::sort(touched_.begin(), touched_.end());
-        touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                       touched_.end());
-        for (const auto m : touched_)
-            if ((term_bit_[m >> 6] >> (m & 63)) & 1) {
-                row.terms.push_back(m);
-                term_bit_[m >> 6] &= ~(uint64_t{1} << (m & 63));
-            }
-        return row;
+        release_if_done(n);
     }
-
-private:
-    const xag& net_;
-    std::vector<uint32_t> topo_index_;
-    std::vector<uint8_t> parity_;
-    std::vector<uint8_t> in_cone_;
-    std::vector<uint64_t> term_bit_; ///< scratch terminal-parity bitset
-    std::vector<uint32_t> cone_;
-    std::vector<uint32_t> touched_;
-};
+    std::erase_if(rows,
+                  [&](const linear_row& row) { return !is_root[row.root]; });
+    return rows;
+}
 
 } // namespace
 
@@ -183,37 +165,28 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
 
     // Block roots: XOR nodes consumed by an AND gate or a primary output.
     // Interior XOR nodes (all fanouts are XOR gates feeding the same
-    // blocks) are swallowed by the expansion.
-    std::vector<uint32_t> roots;
-    {
-        std::vector<uint8_t> is_root(network.size(), 0);
-        for (const auto n : network.topological_order()) {
-            if (!network.is_and(n))
-                continue;
-            for (const auto fi : {network.fanin0(n), network.fanin1(n)})
-                if (network.is_xor(fi.node()))
-                    is_root[fi.node()] = 1;
-        }
-        for (uint32_t i = 0; i < network.num_pos(); ++i)
-            if (network.is_xor(network.po_at(i).node()))
-                is_root[network.po_at(i).node()] = 1;
-        for (uint32_t n = 0; n < network.size(); ++n)
-            if (is_root[n] && !network.is_dead(n))
-                roots.push_back(n);
+    // blocks) are folded into their fanouts' rows.
+    std::vector<uint8_t> is_root(network.size(), 0);
+    for (const auto n : network.topological_order()) {
+        if (!network.is_and(n))
+            continue;
+        for (const auto fi : {network.fanin0(n), network.fanin1(n)})
+            if (network.is_xor(fi.node()))
+                is_root[fi.node()] = 1;
     }
-    if (roots.empty()) {
-        stats.xors_after = stats.xors_before;
-        return stats;
-    }
+    for (uint32_t i = 0; i < network.num_pos(); ++i)
+        if (network.is_xor(network.po_at(i).node()))
+            is_root[network.po_at(i).node()] = 1;
 
     std::vector<linear_row> rows;
-    rows.reserve(roots.size());
     {
         obs::trace::trace_span expand_span{"phase.xor-expand"};
-        linear_expander expander{network};
-        for (const auto r : roots)
-            rows.push_back(expander.expand(r));
+        rows = build_rows(network, is_root);
         expand_span.set_arg(rows.size());
+    }
+    if (rows.empty()) {
+        stats.xors_after = stats.xors_before;
+        return stats;
     }
     stats.blocks = static_cast<uint32_t>(rows.size());
 
@@ -236,30 +209,9 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     };
     std::vector<planned_pair> plan;
 
-    // Wide rows take part in pair extraction too (the old code emitted
-    // everything above 16 terms as a plain chain).  Pair seeding is
-    // quadratic per row, so admission is narrowest-first under a Σwidth²
-    // work budget (plus an optional hard cap): every row of rewrite-scale
-    // circuits qualifies, while the widest accumulator rows of full-hash
-    // linear systems — whose unbounded seeding would be ~10¹⁰ operations
-    // on MD5 — keep their existing trees.  Admission depends only on the
-    // multiset of row widths, so the result is deterministic.
-    const size_t max_pairing_width = params.max_pairing_width == 0
-                                         ? SIZE_MAX
-                                         : params.max_pairing_width;
-
-    // The per-worker budget scales with the team: seeding is the quadratic
-    // part and it parallelizes row-by-row, so a W-worker pool admits up to
-    // W× the sequential work instead of finishing early and idling.
-    const uint32_t seed_workers =
-        params.pool != nullptr ? params.pool->num_workers() : 1;
-    const uint64_t effective_budget =
-        params.pairing_work_budget == 0
-            ? 0
-            : params.pairing_work_budget * seed_workers;
-    stats.seed_workers = seed_workers;
-    stats.effective_pairing_budget = effective_budget;
-
+    // Rows join the pairing narrowest-first under pairing_work_budget; the
+    // rest keep their trees.  Admission depends only on the multiset of
+    // row widths, so it is deterministic.
     const std::vector<uint8_t> narrow = [&] {
         std::vector<uint8_t> flags(rows.size(), 0);
         std::vector<uint32_t> by_width(rows.size());
@@ -277,10 +229,8 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         uint64_t work = 0;
         for (const auto r : by_width) {
             const auto w = static_cast<uint64_t>(rows[r].terms.size());
-            if (w > max_pairing_width)
+            if (work + w * w > pairing_work_budget)
                 break; // sorted: every later row is at least as wide
-            if (effective_budget != 0 && work + w * w > effective_budget)
-                break;
             work += w * w;
             flags[r] = 1;
             ++stats.rows_paired;
@@ -342,85 +292,15 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
             heap.push({count, key});
     };
 
-    // Linear setup (bitsets, term->row index) stays sequential; only the
-    // quadratic pair counting fans out.
-    std::vector<uint32_t> narrow_rows;
-    narrow_rows.reserve(stats.rows_paired);
     for (uint32_t r = 0; r < rows.size(); ++r) {
         if (!narrow[r])
             continue;
-        narrow_rows.push_back(r);
         const auto& t = rows[r].terms;
         for (size_t i = 0; i < t.size(); ++i) {
             bits.insert(slot[r], dense_of[t[i]]);
             rows_of_term[dense_of[t[i]]].push_back(r);
-        }
-    }
-    if (params.pool != nullptr && narrow_rows.size() > 1) {
-        // Per-worker count maps over a work-stealing partition of (row,
-        // outer-index-range) chunks, merged into the shared map afterwards.
-        // Chunking the outer index of the quadratic per-row loop means one
-        // very wide admitted row (a hash accumulator row can dominate the
-        // whole Σwidth² budget) spreads across the team instead of
-        // serializing on one worker.  Per-pair sums are schedule-
-        // independent, and the heap is seeded once per pair at its final
-        // count — the heap's valid-tuple set (count, key) is exactly the
-        // sequential path's, so extraction pops the same pairs in the same
-        // order (stale lower-count entries, which only the sequential path
-        // carries, are discarded by the staleness check).
-        struct seed_chunk {
-            uint32_t row;            ///< index into narrow_rows
-            uint32_t begin, end;     ///< outer-index range [begin, end)
-        };
-        uint64_t total_pairs = 0;
-        for (const auto r : narrow_rows) {
-            const auto w = static_cast<uint64_t>(rows[r].terms.size());
-            total_pairs += w * (w - 1) / 2;
-        }
-        // ~8 chunks per worker smooths the work-stealing partition; the
-        // floor keeps per-chunk map overhead negligible for small rounds.
-        const uint64_t chunk_target = std::max<uint64_t>(
-            4096, total_pairs / (uint64_t{8} * seed_workers + 1));
-        std::vector<seed_chunk> chunks;
-        for (uint32_t i = 0; i < narrow_rows.size(); ++i) {
-            const auto w =
-                static_cast<uint32_t>(rows[narrow_rows[i]].terms.size());
-            uint32_t begin = 0;
-            uint64_t acc = 0;
-            for (uint32_t a = 0; a + 1 < w; ++a) {
-                acc += w - a - 1; // pairs contributed by outer index a
-                if (acc >= chunk_target) {
-                    chunks.push_back({i, begin, a + 1});
-                    begin = a + 1;
-                    acc = 0;
-                }
-            }
-            if (begin + 1 < w)
-                chunks.push_back({i, begin, w - 1});
-        }
-        std::vector<std::unordered_map<term_pair, uint32_t, pair_hash>>
-            local(seed_workers);
-        params.pool->parallel_for(
-            0, chunks.size(), [&](size_t i, uint32_t worker) {
-                const auto& chunk = chunks[i];
-                const auto& t = rows[narrow_rows[chunk.row]].terms;
-                auto& counts = local[worker];
-                for (size_t a = chunk.begin; a < chunk.end; ++a)
-                    for (size_t b = a + 1; b < t.size(); ++b)
-                        ++counts[ordered(dense_of[t[a]], dense_of[t[b]])];
-            });
-        for (const auto& counts : local)
-            for (const auto& [key, c] : counts)
-                pair_count[key] += c;
-        for (const auto& [key, c] : pair_count)
-            if (c >= 2)
-                heap.push({c, key});
-    } else {
-        for (const auto r : narrow_rows) {
-            const auto& t = rows[r].terms;
-            for (size_t i = 0; i < t.size(); ++i)
-                for (size_t j = i + 1; j < t.size(); ++j)
-                    bump(dense_of[t[i]], dense_of[t[j]], 1);
+            for (size_t j = i + 1; j < t.size(); ++j)
+                bump(dense_of[t[i]], dense_of[t[j]], 1);
         }
     }
 

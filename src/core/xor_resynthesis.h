@@ -9,6 +9,19 @@
 // common-subexpression algorithm: repeatedly materialize the pair of
 // columns that co-occurs in the most rows.  AND count — the paper's cost
 // function — is untouched by construction.
+//
+// One sequential path, deterministic by construction:
+//  * rows are built once, bottom-up in topological order — an XOR node's
+//    row is the symmetric difference of its fanins' rows — so expansion
+//    costs the total size of the rows it builds, not a cone walk per root;
+//  * pair seeding is quadratic per row, so rows join the extraction
+//    narrowest-first under one fixed Σwidth² budget (2 · 10⁶).  Every row
+//    of rewrite-scale circuits is admitted; the widest accumulator rows
+//    of full-hash linear systems keep their existing trees;
+//  * a row's new chain replaces its old tree only when it creates no more
+//    XOR gates than the tree's MFFC frees.
+// No thread count or tuning knob reaches this pass: its output depends on
+// the network alone.
 #pragma once
 
 #include "core/budget.h"
@@ -18,35 +31,7 @@
 
 namespace mcx {
 
-class thread_pool;
-
 struct xor_resynthesis_params {
-    /// Hard width cap: rows wider than this never take part in pair
-    /// extraction (0, the default, disables the cap — the pre-PR-4
-    /// behavior was a fixed cap of 16).
-    uint32_t max_pairing_width = 0;
-    /// Seeding-work budget: rows join the pairing narrowest-first while
-    /// the cumulative sum of width² stays under this bound (pair seeding
-    /// is quadratic per row, and extraction cost tracks the same sum).
-    /// The default admits every row of rewrite-scale circuits — 16-term
-    /// and 200-term rows alike — while full-hash linear systems (MD5's
-    /// widest accumulator rows run to ~4 500 terms, Σwidth² ≈ 8.5 · 10¹⁰)
-    /// degrade gracefully: their widest rows keep their trees exactly as
-    /// the old hard cap left them.  0 = unlimited.  Selection depends
-    /// only on the sorted row widths, so it is deterministic.
-    ///
-    /// The budget is per worker: with a pool of W workers the effective
-    /// admission bound is W × this value — the quadratic seeding is the
-    /// part that parallelizes, so idle capacity is spent admitting wider
-    /// rows instead of finishing early.  For a fixed admission set the
-    /// pairing outcome is identical with and without a pool, at any
-    /// worker count (xor_resynthesis_test exercises both).
-    uint64_t pairing_work_budget = 2'000'000;
-    /// Worker team for pair-count seeding (the Σwidth² part); nullptr
-    /// runs the classic sequential seeding.  Extraction and the chain
-    /// rebuilds stay sequential — they mutate shared state and their cost
-    /// is linear in the extracted pairs.
-    thread_pool* pool = nullptr;
     /// Cooperative stop.  Checked between pair extractions and between row
     /// rebuilds; stopping skips the remaining work (the rows already
     /// rebuilt keep their gains, the rest keep their old trees) and the
@@ -63,8 +48,6 @@ struct xor_resynthesis_stats {
     uint32_t widest_row = 0;      ///< terms in the widest linear row seen
     uint32_t rows_paired = 0;     ///< rows admitted to pair extraction
     uint32_t widest_row_paired = 0; ///< widest row admitted
-    uint32_t seed_workers = 1;    ///< workers the pair seeding ran on
-    uint64_t effective_pairing_budget = 0; ///< per-worker budget × workers
     outcome status = outcome::ok; ///< non-ok when a token stopped the pass
 };
 

@@ -359,14 +359,16 @@ TEST(two_phase_determinism, lightweight_family)
 TEST(two_phase_determinism, hashes_family_budgeted)
 {
     // Full-size MD5 under the integration suite's budget (3-cuts,
-    // heuristic database, one round, mc only) — hash-scale structure
-    // without hash-scale runtime.
+    // heuristic database, one round) — hash-scale structure without
+    // hash-scale runtime.  The XOR pass's admission budget binds on MD5's
+    // accumulator rows, so this also checks that the rows it pairs do not
+    // depend on the thread count.
     flow_params budget;
     budget.max_rounds = 1;
     budget.rewrite.cut_size = 3;
     budget.rewrite.cut_limit = 4;
     budget.rewrite.db.use_exact = false;
-    expect_thread_count_invariant(gen_md5(), "md5", budget, "mc");
+    expect_thread_count_invariant(gen_md5(), "md5", budget, "mc+xor");
 }
 
 TEST(two_phase_determinism, size_baseline_engine)
