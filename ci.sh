@@ -336,21 +336,25 @@ cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
     GTEST_FILTER='robustness.stopped_token_unblocks_waiter_on_stuck_builder:robustness.fault_matrix_verified_network_or_typed_error' \
         ctest -R robustness_test --output-on-failure)
 
-# Address+UB sanitizer job over the SAT core and the batched cone
-# simulator: the arena with its relocation GC, the binary-watcher
-# encoding, the preprocessor's clause surgery, and the simulator's slot
-# sentinel and lane-pool indexing are exactly the kind of raw-index
-# pointer arithmetic ASan exists for (TSan does not check heap bounds).
-# The full sat_test suite — the production core, the differential fuzz
-# against the legacy solver from mcx_oracles, preprocessing units — and
-# pass_test's cone_simulator cases run under ASan+UBSan.
+# Address+UB sanitizer job over the SAT core, the batched cone simulator
+# and XOR resynthesis: the arena with its relocation GC, the
+# binary-watcher encoding, the preprocessor's clause surgery, the
+# simulator's slot sentinel and lane-pool indexing, and the pair
+# extraction's open-addressing count table with its per-term row lists are
+# exactly the kind of raw-index pointer arithmetic ASan exists for (TSan
+# does not check heap bounds).  The full sat_test suite — the production
+# core, the differential fuzz against the legacy solver from mcx_oracles,
+# preprocessing units — pass_test's cone_simulator cases and the full
+# xor_resynthesis_test suite run under ASan+UBSan.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build build-asan -j"$(nproc)" --target sat_test pass_test
+cmake --build build-asan -j"$(nproc)" --target sat_test pass_test \
+    xor_resynthesis_test
 (cd build-asan && ctest -R sat_test --output-on-failure &&
     GTEST_FILTER='cone_simulator.*' \
-        ctest -R pass_test --output-on-failure)
+        ctest -R pass_test --output-on-failure &&
+    ctest -R xor_resynthesis_test --output-on-failure)
 
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \

@@ -1167,6 +1167,8 @@ pass_stats xor_resynthesis_pass::run(xag& network, pass_context& ctx) const
     const auto stats = xor_resynthesis(network, {.token = ctx.token});
     ps.xor_blocks = stats.blocks;
     ps.xor_pairs_extracted = stats.pairs_extracted;
+    ps.xor_pairs_counted = stats.pairs_counted;
+    ps.xor_pair_queue_pops = stats.pair_queue_pops;
     ps.status = stats.status;
     ps.converged = stats.status == outcome::ok;
     return finish_pass(ctx, std::move(ps), network, start);

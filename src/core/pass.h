@@ -168,6 +168,8 @@ struct pass_stats {
     std::vector<round_stats> rounds; ///< rewrite passes only
     uint32_t xor_blocks = 0;         ///< xor_resynthesis only
     uint32_t xor_pairs_extracted = 0; ///< xor_resynthesis only
+    uint64_t xor_pairs_counted = 0;   ///< xor_resynthesis only
+    uint64_t xor_pair_queue_pops = 0; ///< xor_resynthesis only
     /// Database traffic over this pass (rewrite passes only): sharded_store
     /// hits/misses delta, entry count after the pass, and — for the mc
     /// database — how many of the entries ever built were certified

@@ -7,11 +7,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <functional>
 #include <iterator>
-#include <optional>
 #include <queue>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mcx {
@@ -27,58 +27,81 @@ struct linear_row {
     bool constant = false;
 };
 
-/// Packed bitset rows over a dense term-id space (remapped terminal ids
-/// first, planned pair ids above them), one row per linear block that
-/// takes part in pair extraction.  Replaces the per-row std::set:
-/// membership is one bit test, and the ascending iteration order the
-/// chain rebuild relies on falls out of the word scan.  All rows live in
-/// one flat pool sized once, and the same bits flow from the pairing loop
-/// into the chain rebuild — no per-step container churn.
-class packed_rows {
+/// Pair counts in one flat open-addressing table (linear probing, load at
+/// most 1/2), keyed by the packed pair (a << 32) | b with a < b — so key
+/// order is the (a, b) order extraction breaks ties by.  A slot holds the
+/// pair and its count together (12 bytes), so a lookup mostly touches one
+/// cache line.  A pair is never erased: a count that falls to zero keeps
+/// its slot, and size() is the number of distinct pairs ever counted.
+class pair_table {
 public:
-    packed_rows(size_t num_rows, size_t id_limit)
-        : stride_{(id_limit + 63) / 64}, pool_(num_rows * stride_, 0)
+    pair_table() { grow(); }
+
+    static uint64_t key(uint32_t a, uint32_t b)
     {
+        return a < b ? (uint64_t{a} << 32) | b : (uint64_t{b} << 32) | a;
     }
 
-    bool test(uint32_t row, uint32_t id) const
+    /// Count one more occurrence of `k` (inserted if new); the new count.
+    uint32_t increment(uint64_t k)
     {
-        return (word(row, id) >> (id & 63)) & 1;
+        if (2 * (size_ + 1) > slots_.size())
+            grow();
+        auto& s = slots_[probe(k)];
+        if (s.a == empty) {
+            s = {static_cast<uint32_t>(k >> 32), static_cast<uint32_t>(k), 0};
+            ++size_;
+        }
+        return ++s.count;
     }
 
-    void insert(uint32_t row, uint32_t id)
-    {
-        word(row, id) |= uint64_t{1} << (id & 63);
-    }
+    /// Count one occurrence of `k` less; `k` must have been counted.
+    void decrement(uint64_t k) { --slots_[probe(k)].count; }
 
-    void erase(uint32_t row, uint32_t id)
-    {
-        word(row, id) &= ~(uint64_t{1} << (id & 63));
-    }
+    /// The count of `k`, zero if it was never counted.
+    uint32_t count(uint64_t k) const { return slots_[probe(k)].count; }
 
-    /// Visit the row's term ids in ascending order (the std::set order the
-    /// seed implementation iterated in).
+    size_t size() const { return size_; }
+
     template <typename F>
-    void for_each(uint32_t row, F&& f) const
+    void for_each(F&& f) const
     {
-        const uint64_t* words = pool_.data() + row * stride_;
-        for (size_t i = 0; i < stride_; ++i)
-            for (uint64_t w = words[i]; w != 0; w &= w - 1)
-                f(static_cast<uint32_t>(64 * i + std::countr_zero(w)));
+        for (const auto& s : slots_)
+            if (s.a != empty)
+                f((uint64_t{s.a} << 32) | s.b, s.count);
     }
 
 private:
-    uint64_t& word(uint32_t row, uint32_t id)
+    static constexpr uint32_t empty = ~uint32_t{0}; // a < b: never a key
+    struct slot {
+        uint32_t a = empty, b = 0, count = 0;
+    };
+
+    /// The slot holding `k`, or the empty slot where it would go.
+    size_t probe(uint64_t k) const
     {
-        return pool_[row * stride_ + (id >> 6)];
-    }
-    const uint64_t& word(uint32_t row, uint32_t id) const
-    {
-        return pool_[row * stride_ + (id >> 6)];
+        // Fibonacci hashing: the top bits of k * 2^64 / phi.
+        auto i = static_cast<size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
+        const auto a = static_cast<uint32_t>(k >> 32);
+        const auto b = static_cast<uint32_t>(k);
+        while (slots_[i].a != empty && (slots_[i].a != a || slots_[i].b != b))
+            i = (i + 1) & (slots_.size() - 1);
+        return i;
     }
 
-    size_t stride_;
-    std::vector<uint64_t> pool_;
+    void grow()
+    {
+        std::vector<slot> old(slots_.empty() ? 1024 : 2 * slots_.size());
+        slots_.swap(old);
+        shift_ = 64 - std::countr_zero(slots_.size());
+        for (const auto& s : old)
+            if (s.a != empty)
+                slots_[probe((uint64_t{s.a} << 32) | s.b)] = s;
+    }
+
+    std::vector<slot> slots_;
+    size_t size_ = 0;
+    int shift_ = 64;
 };
 
 /// Rows join the pair extraction narrowest-first while the cumulative
@@ -154,7 +177,98 @@ std::vector<linear_row> build_rows(const xag& net,
     return rows;
 }
 
+/// Why a polled token stopped the pass.  Stopping must not throw: the
+/// protected-ref release sweeps at the end of the pass are unconditional
+/// cleanup, so the token breaks out of the loops and the stats carry this.
+outcome stop_outcome(const cancellation_token& token)
+{
+    const auto reason = token.stop_reason();
+    return reason == outcome::ok ? outcome::cancelled : reason;
+}
+
 } // namespace
+
+namespace detail {
+
+pair_extraction extract_pairs(std::vector<std::vector<uint32_t>>& rows,
+                              uint32_t num_terms,
+                              const cancellation_token& token)
+{
+    pair_extraction out;
+    // Seeding only counts.
+    std::vector<std::vector<uint32_t>> rows_of_term(num_terms);
+    pair_table count;
+    for (uint32_t r = 0; r < rows.size(); ++r) {
+        const auto& t = rows[r];
+        for (size_t i = 0; i < t.size(); ++i) {
+            rows_of_term[t[i]].push_back(r);
+            for (size_t j = i + 1; j < t.size(); ++j)
+                count.increment(pair_table::key(t[i], t[j]));
+        }
+    }
+
+    // Max-heap on (count, key), built once over the repeated seeded pairs.
+    // After seeding, only the pairs (t, id) of a step's fresh `id` are ever
+    // incremented; each is pushed once, at its count after the step.  Every
+    // other count only falls, so an entry is never below its pair's count,
+    // and a stale one is requeued at the lower count while it repeats.
+    using entry = std::pair<uint32_t, uint64_t>;
+    std::vector<entry> repeated;
+    count.for_each([&](uint64_t k, uint32_t c) {
+        if (c >= 2)
+            repeated.push_back({c, k});
+    });
+    std::priority_queue<entry> heap{std::less<entry>{}, std::move(repeated)};
+
+    std::vector<uint64_t> fresh;
+    while (!heap.empty()) {
+        if (((out.queue_pops + 1) & 1023u) == 0 && token.stop_requested()) {
+            out.status = stop_outcome(token);
+            break;
+        }
+        const auto [c, k] = heap.top();
+        heap.pop();
+        ++out.queue_pops;
+        if (const auto now = count.count(k); now != c) {
+            if (now >= 2)
+                heap.push({now, k});
+            continue;
+        }
+        const auto a = static_cast<uint32_t>(k >> 32);
+        const auto b = static_cast<uint32_t>(k);
+        const auto id = static_cast<uint32_t>(rows_of_term.size());
+        rows_of_term.emplace_back();
+        out.plan.push_back({a, b, id});
+
+        fresh.clear();
+        for (const auto r : rows_of_term[a]) {
+            auto& row = rows[r];
+            if (!std::binary_search(row.begin(), row.end(), a) ||
+                !std::binary_search(row.begin(), row.end(), b))
+                continue;
+            for (const auto t : row) {
+                if (t == a || t == b)
+                    continue;
+                count.decrement(pair_table::key(a, t));
+                count.decrement(pair_table::key(b, t));
+                if (count.increment(pair_table::key(t, id)) == 1)
+                    fresh.push_back(pair_table::key(t, id));
+            }
+            count.decrement(k);
+            std::erase_if(row, [&](uint32_t t) { return t == a || t == b; });
+            row.push_back(id); // the largest id yet: the row stays ascending
+            rows_of_term[id].push_back(r);
+        }
+        for (const auto f : fresh)
+            if (const auto n = count.count(f); n >= 2)
+                heap.push({n, f});
+    }
+
+    out.pairs_counted = count.size();
+    return out;
+}
+
+} // namespace detail
 
 xor_resynthesis_stats xor_resynthesis(xag& network,
                                       const xor_resynthesis_params& params)
@@ -190,30 +304,24 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     }
     stats.blocks = static_cast<uint32_t>(rows.size());
 
-    // Paar's greedy algorithm on the whole system: extract the most common
-    // terminal pair as a new shared term until no pair repeats.  Pair
-    // counts are maintained incrementally (rebuilding them per extraction
-    // is quadratic and intractable on hash-sized linear systems), with a
-    // lazily-invalidated max-heap selecting the next pair.
-    //
+    // Paar's greedy algorithm on the whole system (detail::extract_pairs).
     // Pairing works in a DENSE id space: the distinct terminals of the
-    // narrow rows get ids [0, num_terms) in ascending node order, planned
-    // pair ids follow from num_terms — so the bitset rows span only the
-    // ids that can actually occur instead of the whole network, and only
-    // narrow rows get a bitset at all.  The mapping is monotone, so pair
-    // ordering, heap tie-breaking, and the ascending chain-rebuild scan
-    // are unchanged from the node-id formulation.
-    struct planned_pair {
-        uint32_t a, b;   ///< dense term ids (terminal or earlier planned)
-        uint32_t id;     ///< dense id of the new term
-    };
-    std::vector<planned_pair> plan;
-
-    // Rows join the pairing narrowest-first under pairing_work_budget; the
-    // rest keep their trees.  Admission depends only on the multiset of
-    // row widths, so it is deterministic.
-    const std::vector<uint8_t> narrow = [&] {
-        std::vector<uint8_t> flags(rows.size(), 0);
+    // narrow rows get ids [0, num_terms) in ascending node order, and the
+    // extraction mints ids above them, so its per-term tables span only
+    // the ids that can occur.  The mapping is monotone, so pair order,
+    // tie-breaking and the ascending chain-rebuild scan are those of the
+    // node-id formulation.  The phase.xor-pair span covers admission,
+    // seeding and extraction.
+    std::vector<uint8_t> narrow(rows.size(), 0);
+    std::vector<uint32_t> slot(rows.size(), 0); // narrow row -> paired row
+    std::vector<uint32_t> term_of;              // dense id -> node id
+    std::vector<std::vector<uint32_t>> paired;  // narrow rows, dense ids
+    detail::pair_extraction extraction;
+    {
+        obs::trace::trace_span pair_span{"phase.xor-pair"};
+        // Rows join narrowest-first under pairing_work_budget; the rest
+        // keep their trees.  Admission depends only on the multiset of row
+        // widths, so it is deterministic.
         std::vector<uint32_t> by_width(rows.size());
         for (uint32_t r = 0; r < rows.size(); ++r) {
             by_width[r] = r;
@@ -232,136 +340,41 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
             if (work + w * w > pairing_work_budget)
                 break; // sorted: every later row is at least as wide
             work += w * w;
-            flags[r] = 1;
+            narrow[r] = 1;
             ++stats.rows_paired;
             stats.widest_row_paired =
                 std::max(stats.widest_row_paired, static_cast<uint32_t>(w));
         }
-        return flags;
-    }();
-    std::vector<uint32_t> slot(rows.size(), 0); // narrow row -> bitset row
-    uint32_t num_narrow = 0;
-    for (size_t r = 0; r < rows.size(); ++r)
-        if (narrow[r])
-            slot[r] = num_narrow++;
 
-    // term_of: dense id -> node id (ascending); dense_of: node id -> dense.
-    std::vector<uint32_t> term_of;
-    size_t narrow_instances = 0;
-    for (size_t r = 0; r < rows.size(); ++r)
-        if (narrow[r]) {
-            narrow_instances += rows[r].terms.size();
-            term_of.insert(term_of.end(), rows[r].terms.begin(),
-                           rows[r].terms.end());
-        }
-    std::sort(term_of.begin(), term_of.end());
-    term_of.erase(std::unique(term_of.begin(), term_of.end()),
-                  term_of.end());
+        for (size_t r = 0; r < rows.size(); ++r)
+            if (narrow[r])
+                term_of.insert(term_of.end(), rows[r].terms.begin(),
+                               rows[r].terms.end());
+        std::sort(term_of.begin(), term_of.end());
+        term_of.erase(std::unique(term_of.begin(), term_of.end()),
+                      term_of.end());
+        std::vector<uint32_t> dense_of(base_size, 0);
+        for (uint32_t d = 0; d < term_of.size(); ++d)
+            dense_of[term_of[d]] = d;
+
+        paired.resize(stats.rows_paired);
+        for (uint32_t r = 0, p = 0; r < rows.size(); ++r)
+            if (narrow[r]) {
+                slot[r] = p;
+                for (const auto t : rows[r].terms)
+                    paired[p].push_back(dense_of[t]);
+                ++p;
+            }
+        extraction = detail::extract_pairs(
+            paired, static_cast<uint32_t>(term_of.size()), params.token);
+        pair_span.set_arg(extraction.plan.size());
+    }
     const auto num_terms = static_cast<uint32_t>(term_of.size());
-    std::vector<uint32_t> dense_of(base_size, 0);
-    for (uint32_t d = 0; d < num_terms; ++d)
-        dense_of[term_of[d]] = d;
-    uint32_t next_term_id = num_terms; // dense ids above terminals = planned
-
-    // Every extraction removes two term instances per affected row (>= 2
-    // rows) and mints exactly one new id, so the planned-id space is
-    // bounded by half the narrow rows' initial term instances.
-    const size_t id_limit = num_terms + narrow_instances / 2 + 1;
-
-    packed_rows bits{num_narrow, id_limit};
-
-    using term_pair = std::pair<uint32_t, uint32_t>;
-    struct pair_hash {
-        size_t operator()(const term_pair& p) const
-        {
-            return (static_cast<size_t>(p.first) << 32) ^ p.second;
-        }
-    };
-    std::unordered_map<term_pair, uint32_t, pair_hash> pair_count;
-    std::unordered_map<uint32_t, std::vector<uint32_t>> rows_of_term;
-    std::priority_queue<std::pair<uint32_t, term_pair>> heap;
-
-    const auto ordered = [](uint32_t a, uint32_t b) {
-        return a < b ? term_pair{a, b} : term_pair{b, a};
-    };
-    const auto bump = [&](uint32_t a, uint32_t b, int delta) {
-        const auto key = ordered(a, b);
-        auto& count = pair_count[key];
-        count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-        if (delta > 0 && count >= 2)
-            heap.push({count, key});
-    };
-
-    for (uint32_t r = 0; r < rows.size(); ++r) {
-        if (!narrow[r])
-            continue;
-        const auto& t = rows[r].terms;
-        for (size_t i = 0; i < t.size(); ++i) {
-            bits.insert(slot[r], dense_of[t[i]]);
-            rows_of_term[dense_of[t[i]]].push_back(r);
-            for (size_t j = i + 1; j < t.size(); ++j)
-                bump(dense_of[t[i]], dense_of[t[j]], 1);
-        }
-    }
-
-    // Stopping mid-extraction (or mid-rebuild below) must not throw: the
-    // protected-ref release sweeps at the end are unconditional cleanup,
-    // so the token breaks out of the loops and the stats carry the reason.
-    uint64_t extract_steps = 0;
-    const auto stop_reason = [&]() -> outcome {
-        const auto reason = params.token.stop_reason();
-        return reason == outcome::ok ? outcome::cancelled : reason;
-    };
-    // Ends after the extraction loop via reset() — the loop body is too
-    // entangled with surrounding locals for a scoped block.
-    std::optional<obs::trace::trace_span> pair_span{std::in_place,
-                                                    "phase.xor-pair"};
-    while (!heap.empty()) {
-        if ((++extract_steps & 1023u) == 0 &&
-            params.token.stop_requested()) {
-            stats.status = stop_reason();
-            break;
-        }
-        const auto [count, key] = heap.top();
-        heap.pop();
-        const auto it = pair_count.find(key);
-        if (it == pair_count.end() || it->second != count) {
-            // Stale entry: if the pair still qualifies with its decreased
-            // count, requeue it at that count (strictly smaller each time,
-            // so this terminates).
-            if (it != pair_count.end() && it->second >= 2 &&
-                it->second < count)
-                heap.push({it->second, key});
-            continue;
-        }
-        if (count < 2)
-            break;
-        const auto [a, b] = key;
-        const auto id = next_term_id++;
-        plan.push_back({a, b, id});
-        ++stats.pairs_extracted;
-
-        for (const auto r : rows_of_term[a]) {
-            if (!bits.test(slot[r], a) || !bits.test(slot[r], b))
-                continue;
-            // Update counts for every other term of this row.
-            bits.for_each(slot[r], [&](uint32_t t) {
-                if (t != a && t != b) {
-                    bump(a, t, -1);
-                    bump(b, t, -1);
-                    bump(id, t, +1);
-                }
-            });
-            bump(a, b, -1);
-            bits.erase(slot[r], a);
-            bits.erase(slot[r], b);
-            bits.insert(slot[r], id);
-            rows_of_term[id].push_back(r);
-        }
-    }
-    if (pair_span)
-        pair_span->set_arg(stats.pairs_extracted);
-    pair_span.reset();
+    const auto& plan = extraction.plan;
+    stats.pairs_extracted = static_cast<uint32_t>(plan.size());
+    stats.pairs_counted = extraction.pairs_counted;
+    stats.pair_queue_pops = extraction.queue_pops;
+    stats.status = extraction.status;
 
     // Pin every real terminal: substitution cascades below may restructure
     // later rows' old cones and would otherwise free terminals before
@@ -369,12 +382,11 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // sweeps walk them in the same ascending order.
     std::vector<uint8_t> is_protected(base_size, 0);
     for (uint32_t r = 0; r < rows.size(); ++r) {
-        if (narrow[r])
-            bits.for_each(slot[r], [&](uint32_t term) {
+        if (narrow[r]) {
+            for (const auto term : paired[slot[r]])
                 if (term < num_terms)
                     is_protected[term_of[term]] = 1;
-            });
-        else
+        } else
             for (const auto term : rows[r].terms)
                 is_protected[term] = 1;
     }
@@ -430,7 +442,7 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         if (params.token.stop_requested()) {
             // Rows already rebuilt keep their gains; the rest keep their
             // old trees.  Either way the network stays equivalent.
-            stats.status = stop_reason();
+            stats.status = stop_outcome(params.token);
             break;
         }
         const auto& row = rows[r];
@@ -441,9 +453,8 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         built_this_row.clear();
         const auto xors_before_row = network.num_xors();
         auto acc = network.get_constant(row.constant);
-        bits.for_each(slot[r], [&](uint32_t term) {
+        for (const auto term : paired[slot[r]])
             acc = network.create_xor(acc, signal_of(signal_of, term));
-        });
         const auto created = network.num_xors() - xors_before_row;
         const auto resolved = network.resolve(acc);
         if (resolved.node() == row.root) {
@@ -482,8 +493,10 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
 
     static const auto blocks_metric = obs::register_metric("xor.blocks");
     static const auto pairs_metric = obs::register_metric("xor.pairs");
+    static const auto pops_metric = obs::register_metric("xor.queue_pops");
     blocks_metric.add(stats.blocks);
     pairs_metric.add(stats.pairs_extracted);
+    pops_metric.add(stats.pair_queue_pops);
     stats.xors_after = network.num_xors();
     return stats;
 }

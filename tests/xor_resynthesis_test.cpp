@@ -1,6 +1,7 @@
 #include "core/pass.h"
 #include "core/xor_resynthesis.h"
 #include "gen/arithmetic.h"
+#include "gen/control.h"
 #include "gen/hashes.h"
 #include "gen/lightweight.h"
 #include "xag/cleanup.h"
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 
 namespace mcx {
@@ -202,6 +205,81 @@ TEST(xor_resynthesis_pass, keccak_generator_produces_wide_rows)
     EXPECT_GT(stats.rows_paired, 0u);
     EXPECT_LE(stats.xors_after, stats.xors_before);
     EXPECT_TRUE(random_simulation_equal(cleanup(net), golden, 16));
+}
+
+// ------------------------------------------------------ pair extraction
+
+/// Reference Paar loop: recount every pair of every row each step and take
+/// the argmax of (count, a, b) among pairs that occur in at least two rows.
+std::vector<detail::extracted_pair>
+reference_extraction(std::vector<std::vector<uint32_t>>& rows,
+                     uint32_t num_terms)
+{
+    std::vector<detail::extracted_pair> plan;
+    for (auto id = num_terms;; ++id) {
+        std::map<std::pair<uint32_t, uint32_t>, uint32_t> count;
+        for (const auto& row : rows)
+            for (size_t i = 0; i < row.size(); ++i)
+                for (size_t j = i + 1; j < row.size(); ++j)
+                    ++count[{row[i], row[j]}];
+        std::pair<uint32_t, std::pair<uint32_t, uint32_t>> best{0, {0, 0}};
+        for (const auto& [pair, c] : count)
+            best = std::max(best, {c, pair});
+        if (best.first < 2)
+            return plan;
+        const auto [a, b] = best.second;
+        plan.push_back({a, b, id});
+        for (auto& row : rows)
+            if (std::binary_search(row.begin(), row.end(), a) &&
+                std::binary_search(row.begin(), row.end(), b)) {
+                std::erase_if(row,
+                              [&](uint32_t t) { return t == a || t == b; });
+                row.push_back(id); // the largest id so far: stays sorted
+            }
+    }
+}
+
+TEST(xor_pair_extraction, matches_full_recount_reference_on_tied_systems)
+{
+    // Few terms and many overlapping rows, so most steps choose among
+    // several pairs of equal count: the tie-break decides the sequence.
+    std::mt19937_64 rng{2019};
+    uint64_t steps = 0;
+    for (int rep = 0; rep < 300; ++rep) {
+        const auto num_terms = static_cast<uint32_t>(3 + rng() % 12);
+        const auto num_rows = 2 + rng() % 24;
+        std::vector<std::vector<uint32_t>> rows(num_rows);
+        for (auto& row : rows) {
+            for (uint32_t t = 0; t < num_terms; ++t)
+                if (rng() % 3 != 0)
+                    row.push_back(t);
+            if (rep % 4 == 0 && !rows[0].empty())
+                row = rows[0]; // identical rows: every pair ties
+        }
+        auto expected_rows = rows;
+        const auto expected = reference_extraction(expected_rows, num_terms);
+        const auto got = detail::extract_pairs(rows, num_terms);
+        ASSERT_EQ(got.plan, expected) << "rep " << rep;
+        EXPECT_EQ(rows, expected_rows) << "rep " << rep;
+        EXPECT_EQ(got.status, outcome::ok);
+        steps += expected.size();
+    }
+    EXPECT_GT(steps, 1000u); // the systems really do share pairs
+}
+
+TEST(xor_pair_extraction, queue_work_is_bounded_by_distinct_pairs)
+{
+    // Work bound: the extraction pops its pair queue at most twice per
+    // distinct pair it ever counts.  A queue that takes an entry on every
+    // count increment pops about 14 entries per distinct pair here.
+    auto net = gen_voter(501);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
+    const auto stats = xor_resynthesis(net);
+    ASSERT_GT(stats.pairs_counted, 0u);
+    EXPECT_GT(stats.pairs_extracted, 0u);
+    EXPECT_LE(stats.pair_queue_pops, 2 * stats.pairs_counted)
+        << stats.pairs_counted << " distinct pairs";
 }
 
 } // namespace

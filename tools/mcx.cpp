@@ -223,8 +223,13 @@ void write_report(const std::string& path, const std::string& input,
                 static_cast<unsigned long long>(p.db_exact),
                 static_cast<unsigned long long>(p.db_heuristic));
         if (p.pass_name == "xor-resynthesis")
-            std::fprintf(f, ", \"blocks\": %u, \"pairs_extracted\": %u",
-                         p.xor_blocks, p.xor_pairs_extracted);
+            std::fprintf(f,
+                         ", \"blocks\": %u, \"pairs_extracted\": %u, "
+                         "\"pairs_counted\": %llu, \"pair_queue_pops\": %llu",
+                         p.xor_blocks, p.xor_pairs_extracted,
+                         static_cast<unsigned long long>(p.xor_pairs_counted),
+                         static_cast<unsigned long long>(
+                             p.xor_pair_queue_pops));
         if (!p.rounds.empty()) {
             std::fprintf(f, ", \"rounds\": [\n");
             for (size_t r = 0; r < p.rounds.size(); ++r) {
