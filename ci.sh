@@ -206,15 +206,23 @@ fi
 
 # SIGINT smoke: interrupt mcx mid-flow; the cooperative stop must still
 # verify and emit the best-effort network and exit 0, with the report
-# recording the cancellation.
-timeout 60 ./build/tools/mcx --flow mc+xor gen:md5 \
+# recording the cancellation.  mcx must see the interrupt exactly once:
+# it treats a second SIGINT as "stop now" (src/core/budget.cpp), and
+# plain `timeout` forwards a signal to its child and then again to its
+# process group.  With `--foreground` it forwards to the child only.
+timeout --foreground 60 ./build/tools/mcx --flow mc+xor gen:md5 \
     -o build/md5_sigint.bench --report FLOW_smoke_sigint.json \
     >build/sigint.log 2>&1 &
-mcx_pid=$!
+timeout_pid=$!
 sleep 2
-kill -INT "$mcx_pid"
-if ! wait "$mcx_pid"; then
-    echo "ci.sh: SIGINT-interrupted mcx did not exit 0" >&2
+kill -INT "$timeout_pid"
+sigint_status=0
+wait "$timeout_pid" || sigint_status=$?
+if [ "$sigint_status" -ne 0 ]; then
+    echo "ci.sh: SIGINT-interrupted mcx did not exit 0" \
+         "(exit status $sigint_status; 130 = died of SIGINT," \
+         "124 = still running after 60 s); build/sigint.log:" >&2
+    cat build/sigint.log >&2
     exit 1
 fi
 [ -s build/md5_sigint.bench ] || {

@@ -1,35 +1,44 @@
 #include "core/mffc.h"
 
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
 namespace mcx {
 
 namespace {
 
 uint32_t mffc_count(const xag& network, uint32_t root,
-                    std::span<const uint32_t> leaves, bool count_xor)
+                    std::span<const uint32_t> leaves, bool count_xor,
+                    mffc_workspace& ws)
 {
-    const std::unordered_set<uint32_t> leaf_set(leaves.begin(), leaves.end());
-    std::unordered_map<uint32_t, uint32_t> remaining;
-    uint32_t count = 0;
+    if (ws.slots.size() < network.size())
+        ws.slots.resize(network.size());
+    if (++ws.epoch == 0) { // wrapped: forget every stale stamp
+        for (auto& s : ws.slots)
+            s.stamp = 0;
+        ws.epoch = 1;
+    }
+    const auto epoch = ws.epoch;
+    for (const auto l : leaves)
+        ws.slots[l] = {epoch, mffc_workspace::leaf};
 
     // Simulated dereferencing: a fanin whose (local) reference count drops
     // to zero joins the cone.
-    std::vector<uint32_t> stack{root};
+    auto& stack = ws.stack;
+    stack.assign(1, root);
+    uint32_t count = 0;
     while (!stack.empty()) {
         const auto n = stack.back();
         stack.pop_back();
-        if (network.is_and(n) || count_xor)
+        if (count_xor || network.is_and(n))
             ++count;
         for (const auto fi : {network.fanin0(n), network.fanin1(n)}) {
             const auto child = fi.node();
-            if (!network.is_gate(child) || leaf_set.count(child))
+            if (!network.is_gate(child))
                 continue;
-            auto [it, inserted] =
-                remaining.try_emplace(child, network.ref_count(child));
-            if (--it->second == 0)
+            auto& s = ws.slots[child];
+            if (s.stamp != epoch)
+                s = {epoch, network.ref_count(child)};
+            else if (s.remaining == mffc_workspace::leaf)
+                continue;
+            if (--s.remaining == 0)
                 stack.push_back(child);
         }
     }
@@ -39,15 +48,15 @@ uint32_t mffc_count(const xag& network, uint32_t root,
 } // namespace
 
 uint32_t mffc_and_count(const xag& network, uint32_t root,
-                        std::span<const uint32_t> leaves)
+                        std::span<const uint32_t> leaves, mffc_workspace& ws)
 {
-    return mffc_count(network, root, leaves, false);
+    return mffc_count(network, root, leaves, false, ws);
 }
 
 uint32_t mffc_gate_count(const xag& network, uint32_t root,
-                         std::span<const uint32_t> leaves)
+                         std::span<const uint32_t> leaves, mffc_workspace& ws)
 {
-    return mffc_count(network, root, leaves, true);
+    return mffc_count(network, root, leaves, true, ws);
 }
 
 } // namespace mcx

@@ -228,8 +228,8 @@ struct scored_candidate {
 /// reference released when the build fails or verification rejects.
 template <typename Strategy, typename Make>
 std::optional<scored_candidate> build_scored_candidate(
-    xag& net, cone_simulator& sim, Strategy& strat, Make&& make,
-    const truth_table& f, std::span<const signal> leaf_sigs,
+    xag& net, cone_simulator& sim, mffc_workspace& mffc, Strategy& strat,
+    Make&& make, const truth_table& f, std::span<const signal> leaf_sigs,
     std::span<const uint32_t> support_nodes,
     std::span<const uint32_t> mffc_leaves, uint32_t n,
     uint64_t* candidates_built)
@@ -249,7 +249,7 @@ std::optional<scored_candidate> build_scored_candidate(
         net.release_ref(net.resolve(*candidate));
         return std::nullopt;
     }
-    const int64_t saved = strat.mffc_cost(n, mffc_leaves);
+    const int64_t saved = strat.mffc_cost(n, mffc_leaves, mffc);
     return scored_candidate{*candidate,
                             saved - static_cast<int64_t>(created)};
 }
@@ -258,9 +258,10 @@ std::optional<scored_candidate> build_scored_candidate(
 /// derived by generic_round from the maintainer/cache coherence handshake.
 /// `cache == nullptr` disables caching entirely; `cache_valid` says the
 /// surviving entries may be consulted this round (`dirty` is then the
-/// maintainer's fanout closure over everything that changed since they
-/// were written).  `verifier`, when set, SAT-checks every replacement
-/// cone against its pre-image before the substitute commits.
+/// maintainer's cut-cone test against everything that changed since they
+/// were written, src/cut/cut_incremental.h).  `verifier`, when set,
+/// SAT-checks every replacement cone against its pre-image before the
+/// substitute commits.
 struct round_env {
     evaluate_cache* cache = nullptr;
     bool cache_valid = false;
@@ -281,6 +282,7 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
     const obs::trace::trace_span loop_span{"phase.rewrite-loop"};
     const auto& cuts = ctx.cuts();
     auto& sim = ctx.simulator();
+    auto& mffc = ctx.mffc();
 
     std::vector<cone_simulator::leaf_set> resolved; // leaf sets, per cut
     std::vector<uint64_t> words;                    // cut function words
@@ -386,8 +388,27 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
             const auto& cut_leaves = active[i];
             const auto k = static_cast<uint32_t>(cut_leaves.size());
             const truth_table tt{k, words[i]};
-
             const auto view = shrink_to_support(tt);
+
+            // Every non-trivial cut is classified and looked up, pruned or
+            // not: round 1's classification and database counts are what
+            // perfbench's replay reproduces layer by layer (ROADMAP item
+            // 1 moves the bound ahead of the lookup together with the
+            // replay).  The two-phase engine prunes first.
+            std::optional<typename Strategy::match> match;
+            if (view.support.size() >= 2 &&
+                !(match = strat.lookup(view.function)))
+                continue;
+
+            // MFFC bound: a candidate's gain is its pinned MFFC (never
+            // larger than this one) minus a created cost >= 0, and only a
+            // strictly larger gain wins — so this cut cannot win, and the
+            // build it skips would have been released net-zero.
+            if (strat.mffc_cost(n, cut_leaves, mffc) <= best_gain) {
+                ++stats.cuts_pruned;
+                continue;
+            }
+
             leaf_sigs.clear();
             leaf_nodes.clear();
             for (const auto idx : view.support) {
@@ -396,9 +417,9 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
             }
 
             const auto scored = build_scored_candidate(
-                net, sim, strat,
-                [&](const truth_table& f, std::span<const signal> ls) {
-                    return strat.make_candidate(f, ls);
+                net, sim, mffc, strat,
+                [&](const truth_table&, std::span<const signal> ls) {
+                    return strat.splice(*match, ls);
                 },
                 view.function, leaf_sigs, leaf_nodes, cut_leaves, n,
                 &stats.candidates_built);
@@ -517,11 +538,19 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
         sc.resolved.data(), num_resolved};
 
     // ---- score: estimated gain = MFFC savings - database entry cost.
+    // The MFFC comes first: the cost is >= 0, so a cut whose MFFC cannot
+    // beat the best gain so far is dropped before any classification or
+    // database lookup (a database miss is an exact SAT synthesis).
     int64_t best_gain = allow_zero_gain ? -1 : 0;
     for (size_t i = 0; i < active.size(); ++i) {
         if (!sc.valid[i])
             continue;
         const auto& cut_leaves = active[i];
+        const int64_t saved = strat.mffc_cost(n, cut_leaves, sc.mffc);
+        if (saved <= best_gain) {
+            ++sc.cuts_pruned;
+            continue;
+        }
         const auto k = static_cast<uint32_t>(cut_leaves.size());
         const truth_table tt{k, sc.words[i]};
         const auto view = shrink_to_support(tt);
@@ -534,7 +563,6 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
                 continue;
         }
         ++sc.candidates_built;
-        const int64_t saved = strat.mffc_cost(n, cut_leaves);
         const int64_t gain = saved - static_cast<int64_t>(created);
         if (gain <= best_gain)
             continue;
@@ -572,6 +600,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         sc.cuts_evaluated = 0;
         sc.classify_failures = 0;
         sc.candidates_built = 0;
+        sc.cuts_pruned = 0;
         const auto [h, m] = strat.scratch_traffic(sc);
         shard_hits0 += h;
         shard_misses0 += m;
@@ -622,6 +651,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         stats.cuts_evaluated += sc.cuts_evaluated;
         stats.classify_failures += sc.classify_failures;
         stats.candidates_built += sc.candidates_built;
+        stats.cuts_pruned += sc.cuts_pruned;
         stats.cone_traversals += sc.simulator.traversals();
         stats.cone_nodes_visited += sc.simulator.nodes_evaluated();
     }
@@ -709,7 +739,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         // goes through the scoring worker's shard, where it is a warm hit.
         auto& shard = ctx.scratch(w.worker);
         const auto scored = build_scored_candidate(
-            net, sim, strat,
+            net, sim, ctx.mffc(), strat,
             [&](const truth_table& f, std::span<const signal> ls) {
                 return strat.make_candidate_cached(f, ls, shard);
             },
@@ -890,6 +920,8 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         obs::register_metric("rewrite.replacements");
     static const auto cuts_metric =
         obs::register_metric("rewrite.cuts_evaluated");
+    static const auto pruned_metric =
+        obs::register_metric("rewrite.cuts_pruned");
     static const auto evaluated_metric =
         obs::register_metric("rewrite.nodes_evaluated");
     static const auto clean_metric =
@@ -901,6 +933,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     rounds_metric.add();
     replacements_metric.add(stats.replacements);
     cuts_metric.add(stats.cuts_evaluated);
+    pruned_metric.add(stats.cuts_pruned);
     evaluated_metric.add(stats.nodes_evaluated);
     clean_metric.add(stats.nodes_clean);
     traversals_metric.add(stats.cone_traversals);
@@ -924,19 +957,29 @@ struct mc_strategy {
     round_stats& stats;
     cancellation_token token;
 
-    std::optional<signal> make_candidate(const truth_table& f,
-                                         std::span<const signal> leaves)
+    /// Sequential-engine candidate, in two steps: `lookup` classifies and
+    /// fetches the database entry (nullopt when classification fails),
+    /// `splice` builds it over the leaves.
+    struct match {
+        const classification_result* cls;
+        const mc_database::entry* entry;
+    };
+    std::optional<match> lookup(const truth_table& f)
     {
         const auto& cls = cache.classify(f);
         if (!cls.success) {
             ++stats.classify_failures;
             return std::nullopt;
         }
-        const auto& entry = db.lookup_or_build(cls.representative, token);
-        return splice_affine(net, cls.transform, leaves, entry.circuit);
+        return match{&cls, &db.lookup_or_build(cls.representative, token)};
     }
-    /// Commit-phase builder (two-phase engine): identical to
-    /// make_candidate but classifies through the scoring worker's shard,
+    std::optional<signal> splice(const match& m,
+                                 std::span<const signal> leaves)
+    {
+        return splice_affine(net, m.cls->transform, leaves, m.entry->circuit);
+    }
+    /// Commit-phase builder (two-phase engine): lookup + splice, but
+    /// classifies through the scoring worker's shard,
     /// where the evaluate phase already paid for the search.  Failures
     /// are not re-counted — the evaluate phase counted them.
     std::optional<signal> make_candidate_cached(const truth_table& f,
@@ -967,9 +1010,10 @@ struct mc_strategy {
         ok = true;
         return db.lookup_or_build(cls.representative, token).num_ands;
     }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves) const
+    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
+                      mffc_workspace& ws) const
     {
-        return mffc_and_count(net, root, leaves);
+        return mffc_and_count(net, root, leaves, ws);
     }
     uint64_t created_cost() const { return net.num_ands(); }
     std::pair<uint64_t, uint64_t> cache_traffic() const
@@ -996,12 +1040,20 @@ struct size_strategy {
     round_stats& stats;
     cancellation_token token;
 
-    std::optional<signal> make_candidate(const truth_table& f,
-                                         std::span<const signal> leaves)
+    /// Sequential-engine candidate: see mc_strategy::lookup.
+    struct match {
+        const npn_result* canon;
+        const size_database::entry* entry;
+    };
+    std::optional<match> lookup(const truth_table& f)
     {
         const auto& canon = cache.canonize(f);
-        const auto& entry = db.lookup_or_build(canon.representative, token);
-        return splice_npn(net, canon.transform, leaves, entry.circuit);
+        return match{&canon, &db.lookup_or_build(canon.representative, token)};
+    }
+    std::optional<signal> splice(const match& m,
+                                 std::span<const signal> leaves)
+    {
+        return splice_npn(net, m.canon->transform, leaves, m.entry->circuit);
     }
     /// Commit-phase builder through the scoring worker's shard; see
     /// mc_strategy::make_candidate_cached.
@@ -1023,9 +1075,10 @@ struct size_strategy {
         ok = true;
         return db.lookup_or_build(canon.representative, token).num_gates;
     }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves) const
+    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
+                      mffc_workspace& ws) const
     {
-        return mffc_gate_count(net, root, leaves);
+        return mffc_gate_count(net, root, leaves, ws);
     }
     uint64_t created_cost() const { return net.num_gates(); }
     std::pair<uint64_t, uint64_t> cache_traffic() const

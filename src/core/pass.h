@@ -27,6 +27,7 @@
 #pragma once
 
 #include "core/budget.h"
+#include "core/mffc.h"
 #include "cut/cut_enumeration.h"
 #include "cut/cut_incremental.h"
 #include "db/mc_database.h"
@@ -71,8 +72,9 @@ struct rewrite_params {
     /// oracle; both modes produce byte-identical networks
     /// (src/cut/cut_incremental.h).
     bool incremental_cuts = true;
-    /// Re-score only nodes whose cut spans or cone context (MFFC, leaf
-    /// liveness) changed since the previous round; clean nodes reuse the
+    /// Re-score only nodes whose cut span changed, or whose cut cones
+    /// (root down to the leaves) hold a node whose structure or reference
+    /// count changed since the previous round; clean nodes reuse the
     /// persistent per-node evaluation cache in the pass_context.  Requires
     /// incremental_cuts (the dirty set is derived from the same journal);
     /// with it off, every round evaluates every node — the full-evaluate
@@ -109,6 +111,12 @@ struct round_stats {
     uint64_t cuts_evaluated = 0;
     uint64_t classify_failures = 0;
     uint64_t candidates_built = 0;
+    /// Cuts skipped by the MFFC bound: a cut whose MFFC cannot beat the
+    /// node's best gain so far is never built (the two-phase engine skips
+    /// its classification and database lookup too; docs/hot-path.md,
+    /// "MFFC-bounded scoring").  cuts_evaluated counts every resolved
+    /// cut, so candidates_built + cuts_pruned <= cuts_evaluated.
+    uint64_t cuts_pruned = 0;
     uint64_t replacements = 0;
     double seconds = 0.0;
 
@@ -267,6 +275,9 @@ public:
     /// ran untracked, params changed).
     cut_maintainer& cut_maintenance() { return cut_maint_; }
     cone_simulator& simulator() { return simulator_; }
+    /// MFFC workspace of the main thread: the sequential engine's scoring
+    /// and every commit-time gain check.  Workers use their scratch's.
+    mffc_workspace& mffc() { return mffc_; }
 
     /// Persistent evaluation cache for the incremental-evaluate path; the
     /// round engine owns its coherence protocol (see evaluate_cache).
@@ -319,6 +330,7 @@ private:
     cut_sets cuts_;
     cut_maintainer cut_maint_;
     cone_simulator simulator_;
+    mffc_workspace mffc_;
     evaluate_cache eval_cache_;
     sat::cone_verifier commit_verifier_;
     std::unique_ptr<thread_pool> pool_;

@@ -438,6 +438,7 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         }
     };
 
+    mffc_workspace mffc_ws;
     for (uint32_t r = 0; r < rows.size(); ++r) {
         if (params.token.stop_requested()) {
             // Rows already rebuilt keep their gains; the rest keep their
@@ -469,8 +470,8 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         // costs (after strashing) vs. the XOR gates exclusively owned by
         // the old cone (the chain's references pin anything shared).
         const auto freed =
-            mffc_gate_count(network, row.root, row.terms) -
-            mffc_and_count(network, row.root, row.terms);
+            mffc_gate_count(network, row.root, row.terms, mffc_ws) -
+            mffc_and_count(network, row.root, row.terms, mffc_ws);
         if (created <= freed) {
             network.substitute(row.root, resolved);
             network.release_ref(network.resolve(resolved));

@@ -23,6 +23,34 @@ bool same_cut_span(std::span<const cut> a, std::span<const cut> b)
 
 } // namespace
 
+bool cut_maintainer::cone_holds_seed(const xag& net, uint32_t n,
+                                     const cut& c,
+                                     std::span<const uint8_t> seed,
+                                     cone_walk& walk)
+{
+    const auto leaves = c.leaf_span();
+    walk.stack.assign(1, n);
+    walk.visited.assign(1, n);
+    while (!walk.stack.empty()) {
+        const auto x = walk.stack.back();
+        walk.stack.pop_back();
+        if (seed[x] != 0)
+            return true;
+        if (!net.is_gate(x) ||
+            std::find(leaves.begin(), leaves.end(), x) != leaves.end())
+            continue;
+        for (const auto fi : {net.fanin0(x), net.fanin1(x)}) {
+            const auto child = fi.node();
+            if (std::find(walk.visited.begin(), walk.visited.end(), child) ==
+                walk.visited.end()) {
+                walk.visited.push_back(child);
+                walk.stack.push_back(child);
+            }
+        }
+    }
+    return false;
+}
+
 void cut_maintainer::invalidate()
 {
     net_ = nullptr;
@@ -221,36 +249,47 @@ void cut_maintainer::sweep(const xag& net, cut_sets& sets,
         });
 
     // ---- evaluate dirty set (header contract): seeds from the consumed
-    // journal plus every node whose cut span was refreshed, closed over
-    // transitive fanout in level order.  Computed here because the sweep
-    // already owns the level ordering and the set_changed_ map; the
-    // rewrite engines read it through evaluate_dirty().
+    // journal, then per live gate "span refreshed, or a seed in one of its
+    // cut cones".  Computed here because the sweep owns set_changed_ and
+    // the finished arena; the rewrite engines read it through
+    // evaluate_dirty().
     eval_dirty_.assign(num_nodes, full ? uint8_t{1} : uint8_t{0});
     if (!full) {
+        seed_.assign(num_nodes, 0);
         for (const auto id : net.changes().nodes) {
             if (!net.is_dead(id)) {
-                eval_dirty_[id] = 1;
+                seed_[id] = 1;
                 if (net.is_gate(id)) {
-                    eval_dirty_[net.fanin0(id).node()] = 1;
-                    eval_dirty_[net.fanin1(id).node()] = 1;
+                    seed_[net.fanin0(id).node()] = 1;
+                    seed_[net.fanin1(id).node()] = 1;
                 }
             } else if (id < armed_size_ && net.is_gate(id)) {
                 // A pre-existing gate died: its fanins lost references
                 // (fanin fields survive take_out, so they are readable).
-                eval_dirty_[net.fanin0(id).node()] = 1;
-                eval_dirty_[net.fanin1(id).node()] = 1;
+                seed_[net.fanin0(id).node()] = 1;
+                seed_[net.fanin1(id).node()] = 1;
             }
             // else: created and destroyed inside the window (a rejected
             // candidate cone) — net-zero on every neighbour, no seed.
         }
-        for (uint32_t n = 0; n < num_nodes; ++n)
-            if (set_changed_[n])
-                eval_dirty_[n] = 1;
-        // items_ is level-ordered, so both fanins are final when n runs.
-        for (const auto n : items_)
-            if (!eval_dirty_[n] && (eval_dirty_[net.fanin0(n).node()] ||
-                                    eval_dirty_[net.fanin1(n).node()]))
-                eval_dirty_[n] = 1;
+        // Each test reads only the frozen network, arena and seed map and
+        // writes only its own node's byte, so the gates split freely.
+        const auto mark = [&](size_t i, uint32_t worker) {
+            const auto n = items_[i];
+            const auto cuts = sets[n];
+            eval_dirty_[n] =
+                set_changed_[n] != 0 ||
+                std::any_of(cuts.begin(), cuts.end(), [&](const cut& c) {
+                    return cone_holds_seed(net, n, c, seed_, walks_[worker]);
+                });
+        };
+        if (walks_.size() < workers)
+            walks_.resize(workers);
+        if (pool != nullptr)
+            pool->parallel_for(0, items_.size(), mark);
+        else
+            for (size_t i = 0; i < items_.size(); ++i)
+                mark(i, 0);
     }
 
     // ---- pass 3: dead and unreachable nodes present empty sets, exactly

@@ -75,22 +75,28 @@ public:
 
     // ---- evaluate dirty set (consumed by the rewrite engines) ----------
     //
-    // A cached evaluation of node n stays valid iff (1) n's cut set is
-    // byte-identical to the previous refresh and (2) nothing in n's cone
-    // changed structure or reference count.  Ref counts change only at
-    // journaled nodes and at fanins of journaled nodes, and any such node
-    // in n's cone puts n in its transitive fanout — so the refresh derives
+    // A node's evaluation reads its cut set, the structure of its cut
+    // cones (the nodes on paths from n down to a cut's leaves) and the
+    // reference counts inside them (its MFFC) — nothing below the leaves.
+    // So a cached evaluation of n stays valid iff (1) n's cut set is
+    // byte-identical to the previous refresh and (2) nothing in those
+    // cones changed structure or reference count.  Both change only at
+    // seeds: every live journaled node and its current fanins, plus the
+    // stored fanins of journaled nodes that died (their refs dropped).
+    // The refresh therefore derives, per live gate,
     //
-    //   dirty(n) = seed(n) | dirty(fanin0) | dirty(fanin1)
+    //   dirty(n) = span_changed(n) | some cut c of n has a seed in
+    //              cone(n, c), root and leaves included
     //
-    // in one linear pass over the level-ordered live gates, with seeds =
-    // cut-refreshed nodes plus the journal closure: every live journaled
-    // node and its current fanins, plus the stored fanins of journaled
-    // nodes that died (their refs dropped).  Journaled nodes that were
-    // BOTH created and destroyed inside the window — candidate cones
-    // spliced and rejected by a commit phase — are net-zero on every
-    // neighbour and seed nothing; skipping them is what lets a quiescent
-    // round converge to an empty dirty set.
+    // by walking each cut cone (a few nodes; the test reads only frozen
+    // state and runs on the pool when one is given).  Leaves count for
+    // the sequential engine, which builds candidates over the leaves: a
+    // gate created over two leaves (and so shareable by structural
+    // hashing) seeds them.  Journaled nodes that were BOTH created and
+    // destroyed inside
+    // the window — candidate cones spliced and rejected by a commit phase
+    // — are net-zero on every neighbour and seed nothing; skipping them is
+    // what lets a quiescent round converge to an empty dirty set.
 
     /// Per-node evaluate-dirty bitmap from the most recent refresh.
     /// Meaningful only when `last_refresh_incremental()`; a full rebuild
@@ -107,6 +113,21 @@ public:
     uint64_t refresh_serial() const { return refresh_serial_; }
 
 private:
+    /// Per-worker state of the cut-cone walk behind evaluate_dirty(): the
+    /// traversal stack and the cone nodes seen so far (a cut cone is a
+    /// handful of nodes, so a linear scan does).
+    struct cone_walk {
+        std::vector<uint32_t> stack;
+        std::vector<uint32_t> visited;
+    };
+
+    /// True when `seed` marks a node of the cone of cut `c` at root n:
+    /// every node on a path from n down to the cut's leaves, the root and
+    /// the leaves included.
+    static bool cone_holds_seed(const xag& net, uint32_t n, const cut& c,
+                                std::span<const uint8_t> seed,
+                                cone_walk& walk);
+
     bool can_update(const xag& net, const cut_sets& sets,
                     const cut_enumeration_params& params) const;
     void sweep(const xag& net, cut_sets& sets,
@@ -137,7 +158,9 @@ private:
     std::vector<uint32_t> level_cursor_;  ///< counting-sort scratch
     std::vector<uint32_t> recompute_;     ///< current level's work list
     std::vector<uint8_t> eval_dirty_;     ///< evaluate dirty set (see above)
+    std::vector<uint8_t> seed_;           ///< dirty-set seeds per node
     std::vector<std::vector<cut>> results_; ///< per-item staging buffers
+    std::vector<cone_walk> walks_;          ///< per worker
     std::vector<cut_enumeration_workspace> workspaces_; ///< per worker
 };
 

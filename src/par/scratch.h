@@ -15,12 +15,13 @@
 //    are reported in aggregate only — the determinism contract covers
 //    networks and replacement counts, not cache traffic;
 //  * the resolved-leaf pools and candidate buffers the sequential loop
-//    kept as locals.
+//    kept as locals, and the MFFC kernel's workspace (src/core/mffc.h).
 //
 // The cut arena (pass_context::cuts()) stays shared: it is written once
 // by cut enumeration before the phase starts and only read inside it.
 #pragma once
 
+#include "core/mffc.h"
 #include "npn/npn.h"
 #include "spectral/classification.h"
 #include "xag/cone_batch.h"
@@ -46,6 +47,7 @@ struct pass_scratch {
     std::vector<uint64_t> chunk_words;
     std::vector<uint8_t> valid;
     std::vector<uint32_t> leaf_nodes;
+    mffc_workspace mffc;
 
     // Per-worker partial round counters, summed after the phase joins
     // (each is a function of the node set alone, so the sums are
@@ -53,6 +55,7 @@ struct pass_scratch {
     uint64_t cuts_evaluated = 0;
     uint64_t classify_failures = 0;
     uint64_t candidates_built = 0;
+    uint64_t cuts_pruned = 0;
 };
 
 } // namespace mcx

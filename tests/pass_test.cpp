@@ -1,6 +1,7 @@
 // Pass framework, flow engine, arena-backed cut storage, and batched cone
 // simulation.
 #include "core/flow.h"
+#include "core/mffc.h"
 #include "core/pass.h"
 #include "cut/cut_enumeration.h"
 #include "gen/arithmetic.h"
@@ -19,6 +20,8 @@
 #include <random>
 #include <set>
 #include <span>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace mcx {
 namespace {
@@ -486,6 +489,146 @@ TEST(cone_simulator, candidate_check_matches_dfs_and_cone_function)
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+// ------------------------------------------------------------ MFFC kernel
+
+/// Per-call hash-map MFFC: the simulated-dereference definition the
+/// epoch-stamped kernel must reproduce.
+uint32_t reference_mffc(const xag& net, uint32_t root,
+                        std::span<const uint32_t> leaves, bool count_xor)
+{
+    const std::unordered_set<uint32_t> leaf_set(leaves.begin(),
+                                                leaves.end());
+    std::unordered_map<uint32_t, uint32_t> remaining;
+    uint32_t count = 0;
+    std::vector<uint32_t> stack{root};
+    while (!stack.empty()) {
+        const auto n = stack.back();
+        stack.pop_back();
+        if (net.is_and(n) || count_xor)
+            ++count;
+        for (const auto fi : {net.fanin0(n), net.fanin1(n)}) {
+            const auto child = fi.node();
+            if (!net.is_gate(child) || leaf_set.count(child))
+                continue;
+            auto [it, inserted] =
+                remaining.try_emplace(child, net.ref_count(child));
+            if (--it->second == 0)
+                stack.push_back(child);
+        }
+    }
+    return count;
+}
+
+/// Substitute `count` random gates by fresh gates over nodes below them:
+/// leaves dead nodes, forwarding chains and id gaps behind.
+void random_substitutions(xag& net, std::mt19937_64& rng, int count)
+{
+    for (int i = 0; i < count; ++i) {
+        const auto order = net.topological_order();
+        std::vector<uint32_t> gates;
+        for (const auto n : order)
+            if (net.is_gate(n))
+                gates.push_back(n);
+        const auto g = gates[rng() % gates.size()];
+        const auto pos = static_cast<size_t>(
+            std::find(order.begin(), order.end(), g) - order.begin());
+        if (pos < 2)
+            continue;
+        const auto a = signal{order[rng() % pos], (rng() & 1) != 0};
+        const auto b = signal{order[rng() % pos], (rng() & 1) != 0};
+        const auto r = (rng() & 1) ? net.create_and(a, b)
+                                   : net.create_xor(a, b);
+        net.take_ref(r);
+        if (r.node() != g)
+            net.substitute(g, r);
+        net.release_ref(net.resolve(r));
+    }
+}
+
+TEST(mffc_kernel, matches_hash_map_reference_after_substitute)
+{
+    // One workspace across every network: stale stamps from a larger or
+    // earlier network must never leak into a later call.
+    mffc_workspace ws;
+    uint64_t checked = 0;
+    for (const uint64_t seed : {51u, 52u, 53u, 54u, 55u, 56u}) {
+        std::mt19937_64 rng{seed};
+        auto net = random_network(seed, 8, 100 + 20 * (seed % 4), 6);
+        random_substitutions(net, rng, 12);
+        ASSERT_NO_THROW(net.check_integrity());
+        const auto cuts = enumerate_cuts(net);
+        for (const auto n : net.topological_order()) {
+            if (!net.is_gate(n))
+                continue;
+            for (const auto& c : cuts[n]) {
+                const auto leaves = c.leaf_span();
+                ASSERT_EQ(mffc_and_count(net, n, leaves, ws),
+                          reference_mffc(net, n, leaves, false))
+                    << "seed " << seed << " node " << n;
+                ASSERT_EQ(mffc_gate_count(net, n, leaves, ws),
+                          reference_mffc(net, n, leaves, true))
+                    << "seed " << seed << " node " << n;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+}
+
+TEST(mffc_kernel, pinned_gain_never_exceeds_unpinned_mffc)
+{
+    // The invariant behind MFFC-bounded scoring: for every cut of a
+    // rewritten network, the gain of the candidate the mc round would
+    // build (MFFC while the candidate pins shared nodes, minus the ANDs it
+    // created) is at most the MFFC measured before the build.
+    uint64_t checked = 0, pinned_smaller = 0;
+    mffc_workspace ws;
+    for (auto net : {gen_multiplier(5), gen_sqrt(8)}) {
+        pass_context ctx;
+        for (int round = 0; round < 3; ++round) {
+            if (mc_rewrite_round(net, ctx).replacements == 0 && round > 0)
+                break;
+            const auto cuts = enumerate_cuts(net);
+            for (const auto n : net.topological_order()) {
+                if (!net.is_gate(n))
+                    continue;
+                for (const auto& c : cuts[n]) {
+                    if (c.num_leaves < 2)
+                        continue;
+                    const auto leaves = c.leaf_span();
+                    const auto view = shrink_to_support(
+                        cone_function(net, n, leaves));
+                    if (view.support.size() < 2)
+                        continue;
+                    std::vector<signal> leaf_sigs;
+                    for (const auto idx : view.support)
+                        leaf_sigs.push_back(signal{leaves[idx], false});
+                    const auto& cls =
+                        ctx.classification().classify(view.function);
+                    if (!cls.success)
+                        continue;
+                    const auto& entry =
+                        ctx.mc_db().lookup_or_build(cls.representative);
+                    const int64_t unpinned = mffc_and_count(net, n, leaves, ws);
+                    const auto ands_before = net.num_ands();
+                    const auto cand = splice_affine(net, cls.transform,
+                                                    leaf_sigs, entry.circuit);
+                    const int64_t created = net.num_ands() - ands_before;
+                    net.take_ref(cand);
+                    const int64_t pinned = mffc_and_count(net, n, leaves, ws);
+                    EXPECT_LE(pinned - created, unpinned) << "node " << n;
+                    EXPECT_LE(pinned, unpinned);
+                    pinned_smaller += pinned < unpinned ? 1 : 0;
+                    net.release_ref(net.resolve(cand));
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 400u);
+    EXPECT_GT(pinned_smaller, 0u); // sharing does occur
 }
 
 // ------------------------------------------------------- passes and flows

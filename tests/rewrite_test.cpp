@@ -1,5 +1,6 @@
 #include "core/mffc.h"
 #include "core/pass.h"
+#include "gen/aes.h"
 #include "sat/equivalence.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
@@ -86,8 +87,9 @@ TEST(mffc_measure, simple_chain)
     net.create_po(g2);
     const std::vector<uint32_t> leaves{a.node(), b.node(), c.node()};
     // g1 is referenced only by g2: both ANDs belong to the MFFC of g2.
-    EXPECT_EQ(mffc_and_count(net, g2.node(), leaves), 2u);
-    EXPECT_EQ(mffc_gate_count(net, g2.node(), leaves), 2u);
+    mffc_workspace ws;
+    EXPECT_EQ(mffc_and_count(net, g2.node(), leaves, ws), 2u);
+    EXPECT_EQ(mffc_gate_count(net, g2.node(), leaves, ws), 2u);
 }
 
 TEST(mffc_measure, shared_node_excluded)
@@ -102,7 +104,30 @@ TEST(mffc_measure, shared_node_excluded)
     net.create_po(g2);
     net.create_po(g3);
     const std::vector<uint32_t> leaves{a.node(), b.node(), c.node()};
-    EXPECT_EQ(mffc_and_count(net, g2.node(), leaves), 1u); // g1 is shared
+    mffc_workspace ws;
+    EXPECT_EQ(mffc_and_count(net, g2.node(), leaves, ws), 1u); // g1 is shared
+}
+
+TEST(mffc_bounded_scoring, aes128_round_builds_candidates_for_few_cuts)
+{
+    // aes128 is near MC-optimal: most cuts have an AND-free MFFC, so no
+    // candidate can gain and scoring must not build one.  Scoring every
+    // cut built candidates for 95% of them.
+    const auto source = gen_aes128();
+    for (const uint32_t threads : {0u, 2u}) {
+        auto net = source;
+        pass_context ctx;
+        rewrite_params p;
+        p.num_threads = threads;
+        const auto stats = mc_rewrite_round(net, ctx, p);
+        EXPECT_GT(stats.cuts_evaluated, 400'000u) << threads << " threads";
+        EXPECT_LE(stats.candidates_built, stats.cuts_evaluated / 2)
+            << threads << " threads";
+        EXPECT_LE(stats.candidates_built + stats.cuts_pruned,
+                  stats.cuts_evaluated)
+            << threads << " threads";
+        EXPECT_GT(stats.cuts_pruned, 0u) << threads << " threads";
+    }
 }
 
 TEST(mc_rewrite_suite, full_adder_reaches_mc_one)

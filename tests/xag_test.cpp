@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 namespace mcx {
@@ -262,6 +263,33 @@ TEST(xag_network, release_ref_collects_cone)
     net.release_ref(g);
     net.check_integrity();
     EXPECT_EQ(net.num_gates(), 0u);
+}
+
+TEST(xag_network, substitute_journals_po_repoint_target)
+{
+    // The replacement is an existing gate that is not a fanin of the
+    // victim, and the victim feeds only a primary output: the PO re-point
+    // is the only place the replacement gains a reference, so it must be
+    // journaled there — incremental consumers read MFFCs off the journal.
+    xag net;
+    const auto a = net.create_pi();
+    const auto b = net.create_pi();
+    const auto c = net.create_pi();
+    const auto g = net.create_and(a, b);
+    net.create_po(net.create_xor(g, c));
+    const auto u = net.create_xor(net.create_xor(a, c), c); // computes a
+    const auto v = net.create_and(u, b);                    // computes a & b
+    net.create_po(v);
+    ASSERT_NE(v.node(), g.node());
+
+    net.arm_change_log();
+    net.substitute(v.node(), g);
+    const auto& journal = net.changes().nodes;
+    EXPECT_NE(std::find(journal.begin(), journal.end(), g.node()),
+              journal.end());
+    EXPECT_EQ(net.ref_count(g.node()), 2u);
+    EXPECT_EQ(net.po_at(1), g);
+    EXPECT_NO_THROW(net.check_integrity());
 }
 
 TEST(xag_network, topological_order_covers_live_cone)

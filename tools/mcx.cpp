@@ -238,6 +238,7 @@ void write_report(const std::string& path, const std::string& input,
                     f,
                     "      {\"ands_before\": %u, \"ands_after\": %u, "
                     "\"cuts_evaluated\": %llu, \"candidates_built\": %llu, "
+                    "\"cuts_pruned\": %llu, "
                     "\"replacements\": %llu, \"seconds\": %.4f, "
                     "\"cut_seconds\": %.4f, \"rewrite_seconds\": %.4f, "
                     "\"cut_nodes_reenumerated\": %llu, "
@@ -252,6 +253,7 @@ void write_report(const std::string& path, const std::string& input,
                     rs.ands_before, rs.ands_after,
                     static_cast<unsigned long long>(rs.cuts_evaluated),
                     static_cast<unsigned long long>(rs.candidates_built),
+                    static_cast<unsigned long long>(rs.cuts_pruned),
                     static_cast<unsigned long long>(rs.replacements),
                     rs.seconds, rs.cut_seconds, rs.rewrite_seconds,
                     static_cast<unsigned long long>(
